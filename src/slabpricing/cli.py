@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .demand import Consumer, demand_convex_pair
+from .demand import demand_convex_pair, own_and_cross
 from .equilibrium import EquilibriumPoint, FitMethod, SupplyLine, fit_supply_line, solve_equilibrium
 from .errors import PricingError
 from .price_response import (
@@ -42,11 +42,12 @@ from .price_response import (
 )
 from .revenue import (
     RevenueReport,
+    SlabPlan,
     best_by_slab_count,
+    best_of,
     compare_domains,
     discount_ladder_plans,
     expected_revenue,
-    optimize_slab_structure,
     plan_for_consumer,
 )
 from .scenario import (
@@ -99,36 +100,14 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return parse_scenario(args.scenario)
 
 
-def _own_minimums(consumer: Consumer, commodity: int) -> tuple[float, float]:
-    if commodity == 1:
-        return consumer.min_qty1, consumer.min_qty2
-    return consumer.min_qty2, consumer.min_qty1
+def _consumer_plan(scenario: Scenario, consumer_index: int, commodity: int) -> SlabPlan:
+    own, cross = own_and_cross(commodity, scenario.offer1, scenario.offer2)
+    return plan_for_consumer(scenario.consumers[consumer_index], own, cross, commodity)
 
 
-def _context_for(
-    scenario: Scenario,
-    consumer: Consumer,
-    commodity: int,
-    own_min: float | None = None,
-    cross_min: float | None = None,
-) -> ResponseContext:
-    cross_offer = scenario.offer2 if commodity == 1 else scenario.offer1
-    motive = consumer.motive1(0) if commodity == 1 else consumer.motive2(0)
-    base_own, base_cross = _own_minimums(consumer, commodity)
-    return ResponseContext(
-        motive=motive,
-        budget=consumer.budget,
-        cross_price=cross_offer.slabs[0].unit_price,
-        own_min_qty=base_own if own_min is None else own_min,
-        cross_min_qty=base_cross if cross_min is None else cross_min,
-    )
-
-
-def _consumer_plan(scenario: Scenario, consumer_index: int, commodity: int):
-    consumer = scenario.consumers[consumer_index]
-    own = scenario.offer1 if commodity == 1 else scenario.offer2
-    other = scenario.offer2 if commodity == 1 else scenario.offer1
-    return plan_for_consumer(consumer, own, other, commodity)
+def _context_for(scenario: Scenario, consumer_index: int, commodity: int) -> ResponseContext:
+    """Demand context at the first slab of the consumer's plan."""
+    return _consumer_plan(scenario, consumer_index, commodity).slabs[0].context
 
 
 def _price_grid(start: float, stop: float, points: int, spacing: str) -> list[float]:
@@ -155,35 +134,23 @@ def emit_curves_csv(scenario: Scenario, out: Path, overwrite: bool) -> list[Path
     grid = request.grid()
     if not grid:
         raise UsageError("empty price grid")
-    p1_base = scenario.offer1.slabs[0].unit_price
-    p2_base = scenario.offer2.slabs[0].unit_price
     baseline = request.baseline_min_qty
     written = []
-    for commodity in (1, 2):
-        tag = "mu" if commodity == 1 else "phi"
+    for commodity, tag in ((1, "mu"), (2, "phi")):
+        _, cross = own_and_cross(commodity, scenario.offer1, scenario.offer2)
+        cross_first_price = cross.slabs[0].unit_price
+        views = [consumer.oriented(commodity) for consumer in scenario.consumers]
         header = ["price"]
-        variants: list[tuple[Consumer, str]] = []
-        for consumer in scenario.consumers:
-            motive = consumer.motive1(0) if commodity == 1 else consumer.motive2(0)
-            header.append(f"{tag}_{format_number(motive)}_constrained")
-            variants.append((consumer, "constrained"))
-        for consumer in scenario.consumers:
-            motive = consumer.motive1(0) if commodity == 1 else consumer.motive2(0)
-            header.append(f"{tag}_{format_number(motive)}_unconstrained")
-            variants.append(
-                (
-                    dataclasses.replace(consumer, min_qty1=baseline, min_qty2=baseline),
-                    "unconstrained",
-                )
-            )
+        header += [f"{tag}_{format_number(view.motive1(0))}_constrained" for view in views]
+        header += [f"{tag}_{format_number(view.motive1(0))}_unconstrained" for view in views]
+        variants = views + [
+            dataclasses.replace(view, min_qty1=baseline, min_qty2=baseline) for view in views
+        ]
         rows = []
         for price in grid:
             row: list[Any] = [price]
-            for consumer, _ in variants:
-                if commodity == 1:
-                    row.append(demand_convex_pair(consumer, price, p2_base).x1)
-                else:
-                    row.append(demand_convex_pair(consumer, p1_base, price).x2)
+            for view in variants:
+                row.append(demand_convex_pair(view, price, cross_first_price).x1)
             rows.append(row)
         written.append(
             write_csv(out / f"demand_x{commodity}.csv", header, rows, overwrite)
@@ -196,8 +163,7 @@ def emit_response_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
     request = scenario.response
     if request is None:
         raise UsageError(f"scenario {scenario.name!r} has no analysis.response request")
-    consumer = scenario.consumers[request.consumer]
-    ctx = _context_for(scenario, consumer, request.commodity)
+    ctx = _context_for(scenario, request.consumer, request.commodity)
     grid = _price_grid(request.price_start, request.price_stop, request.points, request.spacing)
     header = ["price", "response", "slope", "hazard", "elasticity"] + [
         f"wtp_ref_{format_number(ref)}" for ref in WTP_REFERENCE_PRICES
@@ -262,22 +228,19 @@ def emit_slab_study_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
     request = scenario.optimizer
     if request is None:
         raise UsageError(f"scenario {scenario.name!r} has no analysis.optimizer request")
-    consumer = scenario.consumers[request.consumer]
-    ctx = _context_for(scenario, consumer, request.commodity)
+    ctx = _context_for(scenario, request.consumer, request.commodity)
     counts = range(1, request.max_slabs + 1)
 
-    def ladder():
-        return discount_ladder_plans(
-            ctx,
-            request.base_prices,
-            counts,
-            discount=request.discount,
-            acceptance=request.acceptance,
-            attention_span=request.attention_span,
-        )
-
-    best_plan, best_report = optimize_slab_structure(ladder())
-    by_count = best_by_slab_count(ladder())
+    ladder = discount_ladder_plans(
+        ctx,
+        request.base_prices,
+        counts,
+        discount=request.discount,
+        acceptance=request.acceptance,
+        attention_span=request.attention_span,
+    )
+    by_count = best_by_slab_count(ladder)
+    best_plan, _ = best_of(by_count.values())
     header = ["slab_count", "first_slab_price", "expected_revenue", "overall_best"]
     rows = []
     for count in counts:
@@ -299,16 +262,12 @@ def _equilibrium_demand(
     commodity: int,
     constrained: bool,
 ):
-    consumer = scenario.consumers[request.consumer]
-    if constrained:
-        ctx = _context_for(scenario, consumer, commodity)
-    else:
-        ctx = _context_for(
-            scenario,
-            consumer,
-            commodity,
-            own_min=request.baseline_min_qty,
-            cross_min=request.baseline_min_qty,
+    ctx = _context_for(scenario, request.consumer, commodity)
+    if not constrained:
+        ctx = dataclasses.replace(
+            ctx,
+            own_min_qty=request.baseline_min_qty,
+            cross_min_qty=request.baseline_min_qty,
         )
     return lambda price: price_response(ctx, price).qty
 
@@ -423,15 +382,10 @@ def emit_simulation_csv(scenario: Scenario, out: Path, overwrite: bool, seed_fla
         )
     ]
     slab_header = ["slab", "purchases", "frequency", "purchase_probability"]
-    slab_rows = []
-    for k, count in enumerate(estimate.slab_counts, start=1):
-        chain = 0.0
-        if k <= plan.reachable_slabs:
-            reach = 1.0
-            for lam in plan.acceptance_probs[: k - 1]:
-                reach *= 1.0 - lam
-            chain = reach * plan.acceptance_probs[k - 1]
-        slab_rows.append([k, count, count / estimate.trials, chain])
+    slab_rows = [
+        [line.index, count, count / estimate.trials, line.reach_prob * line.acceptance_prob]
+        for line, count in zip(report.per_slab, estimate.slab_counts)
+    ]
     written.append(write_csv(out / "mc_slabs.csv", slab_header, slab_rows, overwrite))
     return written
 

@@ -16,11 +16,15 @@ over a market sums budgets and minimums and takes the strongest motive.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .errors import InfeasibleError, InvalidParameterError
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,39 @@ class Consumer:
 
     def motive2(self, k: int) -> float:
         return self.motives2[k] if len(self.motives2) > k else self.motives2[-1]
+
+    def oriented(self, commodity: int) -> Consumer:
+        """This consumer with the requested commodity in the commodity-1 slot.
+
+        Motives, minimums and maximums of the two commodities trade places
+        for commodity 2, so code written for commodity 1 serves either one.
+        """
+        motives1, motives2 = own_and_cross(commodity, self.motives1, self.motives2)
+        min_qty1, min_qty2 = own_and_cross(commodity, self.min_qty1, self.min_qty2)
+        max_qty1, max_qty2 = own_and_cross(commodity, self.max_qty1, self.max_qty2)
+        return dataclasses.replace(
+            self,
+            motives1=motives1,
+            motives2=motives2,
+            min_qty1=min_qty1,
+            min_qty2=min_qty2,
+            max_qty1=max_qty1,
+            max_qty2=max_qty2,
+        )
+
+
+def own_and_cross(commodity: int, first: T, second: T) -> tuple[T, T]:
+    """A per-commodity pair ordered as (requested commodity, the other one).
+
+    ``first`` and ``second`` belong to commodities 1 and 2. This is the one
+    place that decides which commodity is "own": offers, motives and
+    minimums are all oriented through it.
+    """
+    if commodity == 1:
+        return first, second
+    if commodity == 2:
+        return second, first
+    raise InvalidParameterError(f"commodity must be 1 or 2: {commodity}")
 
 
 class DomainKind(enum.Enum):
@@ -480,11 +517,12 @@ def aggregate_demand(
         pair = demand_convex_pair(_pooled_consumer(market), p1, p2)
         raw_x1, raw_x2 = pair.raw_x1, pair.raw_x2
     elif kind is DomainKind.MIXED:
-        if domain.offer1.is_linear_price:
-            raw_x1, raw_x2, chosen = _aggregate_mixed(market, domain.offer1, domain.offer2)
-        else:
-            swapped = [_swap_commodities(c) for c in market]
-            raw_x2, raw_x1, chosen = _aggregate_mixed(swapped, domain.offer2, domain.offer1)
+        # orient the market so the linear-price commodity sits in slot 1
+        linear = 1 if domain.offer1.is_linear_price else 2
+        offers = own_and_cross(linear, domain.offer1, domain.offer2)
+        views = [c.oriented(linear) for c in market]
+        x_linear, x_slabbed, chosen = _aggregate_mixed(views, *offers)
+        raw_x1, raw_x2 = own_and_cross(linear, x_linear, x_slabbed)
     else:
         staged = demand_nonconvex_pair(_pooled_consumer(market), domain.offer1, domain.offer2)
         raw_x1, raw_x2 = staged.x1_initial, staged.x2_initial
@@ -497,20 +535,6 @@ def aggregate_demand(
         infeasible=raw_x1 < 0 or raw_x2 < 0,
         raw_x1=raw_x1,
         raw_x2=raw_x2,
-    )
-
-
-def _swap_commodities(c: Consumer) -> Consumer:
-    return Consumer(
-        budget=c.budget,
-        motives1=c.motives2,
-        motives2=c.motives1,
-        min_qty1=c.min_qty2,
-        min_qty2=c.min_qty1,
-        max_qty1=c.max_qty2,
-        max_qty2=c.max_qty1,
-        attention_span=c.attention_span,
-        acceptance_probs=c.acceptance_probs,
     )
 
 

@@ -11,9 +11,10 @@ probability the walk buys there:
 
 where reach(k) is the product of the rejection probabilities before k.
 
-The optimizer is an exhaustive search over finite candidate plans; results
-are independent of evaluation order via a deterministic tie-break (fewer
-slabs, then lower first-slab price).
+The optimizer is one exhaustive pass over finite candidate plans that keeps
+the best plan of each slab count; the overall best is the best of those.
+Results are independent of evaluation order via a deterministic tie-break
+(fewer slabs, then lower first-slab price).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .demand import Consumer, DomainSpec, Offer
+from .demand import Consumer, DomainSpec, Offer, own_and_cross
 from .errors import InvalidParameterError
 from .price_response import ResponseContext, ResponsePoint, price_response
 
@@ -176,48 +177,48 @@ def expected_revenue(plan: SlabPlan, demand_fn: DemandFn | None = None) -> Reven
     return RevenueReport(per_slab=tuple(lines), total=total, plan=plan, diagnostic=diagnostic)
 
 
-def _plan_sort_key(plan: SlabPlan) -> tuple[int, float]:
-    return (plan.n_slabs, plan.slabs[0].price)
+Evaluated = tuple[SlabPlan, RevenueReport]
+
+
+def _preference(entry: Evaluated) -> tuple[float, int, float]:
+    """Sort key of an evaluated plan, best first: the higher total, then
+    fewer slabs, then the lower first-slab price. Equal keys keep the
+    earlier entry, so a winner does not depend on candidate order."""
+    plan, report = entry
+    return (-report.total, plan.n_slabs, plan.slabs[0].price)
+
+
+def best_of(entries: Iterable[Evaluated]) -> Evaluated:
+    """The preferred entry among already evaluated plans."""
+    entries = list(entries)
+    if not entries:
+        raise InvalidParameterError("no candidate plans supplied")
+    return min(entries, key=_preference)
 
 
 def optimize_slab_structure(
     candidate_plans: Iterable[SlabPlan],
     demand_fn: DemandFn | None = None,
-) -> tuple[SlabPlan, RevenueReport]:
+) -> Evaluated:
     """Exhaustively evaluate candidates and return the revenue maximizer.
 
     Ties break to fewer slabs, then to the lower first-slab price, so the
     winner does not depend on candidate order.
     """
-    best: tuple[SlabPlan, RevenueReport] | None = None
-    for plan in candidate_plans:
-        report = expected_revenue(plan, demand_fn)
-        if (
-            best is None
-            or report.total > best[1].total
-            or (report.total == best[1].total and _plan_sort_key(plan) < _plan_sort_key(best[0]))
-        ):
-            best = (plan, report)
-    if best is None:
-        raise InvalidParameterError("no candidate plans supplied")
-    return best
+    return best_of(best_by_slab_count(candidate_plans, demand_fn).values())
 
 
 def best_by_slab_count(
     candidate_plans: Iterable[SlabPlan],
     demand_fn: DemandFn | None = None,
-) -> dict[int, tuple[SlabPlan, RevenueReport]]:
+) -> dict[int, Evaluated]:
     """Revenue maximizer among candidates of each slab count."""
-    winners: dict[int, tuple[SlabPlan, RevenueReport]] = {}
+    winners: dict[int, Evaluated] = {}
     for plan in candidate_plans:
-        report = expected_revenue(plan, demand_fn)
+        entry = (plan, expected_revenue(plan, demand_fn))
         held = winners.get(plan.n_slabs)
-        if (
-            held is None
-            or report.total > held[1].total
-            or (report.total == held[1].total and _plan_sort_key(plan) < _plan_sort_key(held[0]))
-        ):
-            winners[plan.n_slabs] = (plan, report)
+        if held is None or _preference(entry) < _preference(held):
+            winners[plan.n_slabs] = entry
     if not winners:
         raise InvalidParameterError("no candidate plans supplied")
     return winners
@@ -267,36 +268,11 @@ def plan_for_consumer(
 ) -> SlabPlan:
     """Plan a single consumer faces on one commodity's slab ladder.
 
-    Slab k pairs with the other offer's rung of the same rank (clamped to
-    its last rung), carries the consumer's per-slab motive, and keeps the
-    consumer's own minimums. Acceptance probabilities stretch to the slab
-    count by repeating the last entry.
+    This is the plan of a one-consumer market: slab k pairs with the other
+    offer's rung of the same rank (clamped to its last rung), carries the
+    consumer's per-slab motive, and keeps the consumer's own minimums.
     """
-    if commodity not in (1, 2):
-        raise InvalidParameterError(f"commodity must be 1 or 2: {commodity}")
-    motive_at = consumer.motive1 if commodity == 1 else consumer.motive2
-    own_min = consumer.min_qty1 if commodity == 1 else consumer.min_qty2
-    cross_min = consumer.min_qty2 if commodity == 1 else consumer.min_qty1
-    slabs = []
-    for k, slab in enumerate(own_offer.slabs):
-        other = other_offer.slabs[min(k, other_offer.n_slabs - 1)]
-        slabs.append(
-            PlanSlab(
-                price=slab.unit_price,
-                context=ResponseContext(
-                    motive=motive_at(k),
-                    budget=consumer.budget,
-                    cross_price=other.unit_price,
-                    own_min_qty=own_min,
-                    cross_min_qty=cross_min,
-                ),
-            )
-        )
-    return SlabPlan(
-        slabs=tuple(slabs),
-        acceptance_probs=_fit_length(consumer.acceptance_probs, len(slabs)),
-        attention_span=consumer.attention_span,
-    )
+    return plan_for_market([consumer], own_offer, other_offer, commodity)
 
 
 def plan_for_market(
@@ -307,27 +283,26 @@ def plan_for_market(
 ) -> SlabPlan:
     """Market-level plan: summed budgets/minimums, strongest per-slab motive.
 
-    Acceptance probabilities and attention span come from the first consumer
-    (the walk is a single representative shopper for the pooled demand).
+    Slab k pairs with the other offer's rung of the same rank (clamped to
+    its last rung). Acceptance probabilities and attention span come from
+    the first consumer (the walk is a single representative shopper for the
+    pooled demand); acceptance probabilities stretch to the slab count by
+    repeating the last entry.
     """
     if not market:
         raise InvalidParameterError("market must contain at least one consumer")
-    if commodity not in (1, 2):
-        raise InvalidParameterError(f"commodity must be 1 or 2: {commodity}")
-    budget = sum(c.budget for c in market)
-    own_min = sum(c.min_qty1 if commodity == 1 else c.min_qty2 for c in market)
-    cross_min = sum(c.min_qty2 if commodity == 1 else c.min_qty1 for c in market)
+    views = [c.oriented(commodity) for c in market]
+    budget = sum(c.budget for c in views)
+    own_min = sum(c.min_qty1 for c in views)
+    cross_min = sum(c.min_qty2 for c in views)
     slabs = []
     for k, slab in enumerate(own_offer.slabs):
         other = other_offer.slabs[min(k, other_offer.n_slabs - 1)]
-        motive = max(
-            (c.motive1(k) if commodity == 1 else c.motive2(k)) for c in market
-        )
         slabs.append(
             PlanSlab(
                 price=slab.unit_price,
                 context=ResponseContext(
-                    motive=motive,
+                    motive=max(c.motive1(k) for c in views),
                     budget=budget,
                     cross_price=other.unit_price,
                     own_min_qty=own_min,
@@ -376,12 +351,7 @@ def compare_domains(
         raise InvalidParameterError("need at least two domains to compare")
     if plans is None:
         plans = [
-            plan_for_market(
-                market,
-                d.offer1 if commodity == 1 else d.offer2,
-                d.offer2 if commodity == 1 else d.offer1,
-                commodity,
-            )
+            plan_for_market(market, *own_and_cross(commodity, d.offer1, d.offer2), commodity)
             for d in domains
         ]
     if len(plans) != len(domains):

@@ -12,6 +12,7 @@ scenario.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -58,7 +59,14 @@ def _expect_list(node: Any, path: str) -> list:
 def _expect_number(node: Any, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise SchemaError(f"expected a number, got {type(node).__name__}", path)
-    return float(node)
+    # JSON integers are unbounded and json.loads accepts Infinity and NaN
+    try:
+        value = float(node)
+    except OverflowError:
+        raise SchemaError("number out of range", path) from None
+    if not math.isfinite(value):
+        raise SchemaError(f"expected a finite number, got {value}", path)
+    return value
 
 
 def _expect_int(node: Any, path: str) -> int:
@@ -250,8 +258,8 @@ def _parse_consumer(node: Any, path: str, offer1: Offer, offer2: Offer) -> Consu
     budget, budget_path = fields.require("budget")
     motives1, m1_path = fields.require("motives1")
     motives2, m2_path = fields.require("motives2")
-    min1, _ = fields.require("min_qty1")
-    min2, _ = fields.require("min_qty2")
+    min1, min1_path = fields.require("min_qty1")
+    min2, min2_path = fields.require("min_qty2")
     max1, _ = fields.require("max_qty1")
     max2, _ = fields.require("max_qty2")
     span, span_path = fields.require("attention_span")
@@ -278,13 +286,19 @@ def _parse_consumer(node: Any, path: str, offer1: Offer, offer2: Offer) -> Consu
         raise SchemaError(
             f"needs 1 entry or one per slab of either offer, got {len(acc)}", acc_path
         )
+    min1_v = _expect_number(min1, min1_path)
+    if not min1_v > 0:
+        raise SchemaError("min_qty1 must be positive", min1_path)
+    min2_v = _expect_number(min2, min2_path)
+    if not min2_v > 0:
+        raise SchemaError("min_qty2 must be positive", min2_path)
     try:
         return Consumer(
             budget=budget_v,
             motives1=m1,
             motives2=m2,
-            min_qty1=_expect_number(min1, f"{path}.min_qty1"),
-            min_qty2=_expect_number(min2, f"{path}.min_qty2"),
+            min_qty1=min1_v,
+            min_qty2=min2_v,
             max_qty1=_expect_number(max1, f"{path}.max_qty1"),
             max_qty2=_expect_number(max2, f"{path}.max_qty2"),
             attention_span=_expect_int(span, span_path),
@@ -325,12 +339,8 @@ def _parse_response(node: Any, path: str, n_consumers: int) -> ResponseRequest:
     points, points_path = fields.require("points")
     spacing = fields.optional("spacing")
     fields.finish()
-    consumer_v = _expect_int(consumer, consumer_path)
-    if not 0 <= consumer_v < n_consumers:
-        raise SchemaError(f"consumer index out of range 0..{n_consumers - 1}", consumer_path)
-    commodity_v = _expect_int(commodity, commodity_path)
-    if commodity_v not in (1, 2):
-        raise SchemaError("commodity must be 1 or 2", commodity_path)
+    consumer_v = _consumer_index(consumer, consumer_path, n_consumers)
+    commodity_v = _commodity_index(commodity, commodity_path)
     start_v = _expect_number(start, start_path)
     stop_v = _expect_number(stop, stop_path)
     if not 0 < start_v < stop_v:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from slabpricing import bundled_scenario_path
+from slabpricing import BUNDLED_SCENARIOS, bundled_scenario_path
 from slabpricing.cli import format_number, main, run
 
 CONVEX = str(bundled_scenario_path("paper_convex"))
@@ -72,6 +72,21 @@ def test_schema_violation_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[schema]:")
     assert "outside [0, 1]" in err
+
+
+@pytest.mark.parametrize("command", ["revenue", "simulate"])
+def test_non_finite_number_exits_3(tmp_path, capsys, command):
+    def infinite_budget(doc):
+        doc["consumers"][0]["budget"] = float("inf")  # written as the token Infinity
+
+    path = mutated_scenario(tmp_path, "paper_mixed", infinite_budget)
+    with open(path, encoding="utf-8") as handle:
+        assert "Infinity" in handle.read()
+    out = tmp_path / "out"
+    assert run(["--scenario", path, "--out", str(out), command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[schema]: consumers[0].budget: expected a finite number")
+    assert not out.exists()
 
 
 def test_starved_consumer_exits_4(tmp_path, capsys):
@@ -281,6 +296,69 @@ def test_reproduce_emits_the_battery(tmp_path):
         "paper_beans": "300.147825",
         "slab_study": "290.5",
     }
+
+
+# ---------------------------------------------------------------------------
+# commodity symmetry
+
+
+def mirror_commodities(doc):
+    """The same scenario with the two commodities trading places."""
+    doc["offers"].reverse()
+    for consumer in doc["consumers"]:
+        for a, b in (("motives1", "motives2"), ("min_qty1", "min_qty2"), ("max_qty1", "max_qty2")):
+            consumer[a], consumer[b] = consumer[b], consumer[a]
+    analysis = doc.get("analysis", {})
+    for request in analysis.values():
+        if "commodity" in request:
+            request["commodity"] = 3 - request["commodity"]
+    if "equilibrium" in analysis:
+        eq = analysis["equilibrium"]
+        eq["supply1"], eq["supply2"] = eq["supply2"], eq["supply1"]
+
+
+def listing(directory):
+    return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
+
+
+def by_commodity(rows):
+    return {c: [r[1:] for r in rows[1:] if r[0] == c] for c in ("1", "2")}
+
+
+def without_tags(header):
+    """Demand-curve column names without their mu_/phi_ commodity tag."""
+    return [h.split("_", 1)[1] for h in header[1:]]
+
+
+@pytest.mark.parametrize("command", ["demand", "respond", "revenue", "optimize", "equilibrium", "simulate"])
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_mirrored_commodities_give_mirrored_output(tmp_path, name, command):
+    """Every single command treats the two commodities alike: swapping them
+    in the scenario swaps them in the output and changes nothing else."""
+    original = str(bundled_scenario_path(name))
+    mirrored = mutated_scenario(tmp_path, name, mirror_commodities)
+    out, out_m = tmp_path / "original", tmp_path / "mirrored"
+    code = run(["--scenario", original, "--out", str(out), command])
+    assert run(["--scenario", mirrored, "--out", str(out_m), command]) == code
+    files = listing(out)
+    assert listing(out_m) == files
+    if code != 0:
+        return
+    if command == "demand":
+        for mine, theirs in (("demand_x1.csv", "demand_x2.csv"), ("demand_x2.csv", "demand_x1.csv")):
+            rows, rows_m = read_rows(out / mine), read_rows(out_m / theirs)
+            assert rows[1:] == rows_m[1:]
+            assert without_tags(rows[0]) == without_tags(rows_m[0])
+    elif command == "equilibrium":
+        for file in files:
+            rows, rows_m = read_rows(out / file), read_rows(out_m / file)
+            assert rows[0] == rows_m[0]
+            blocks, blocks_m = by_commodity(rows), by_commodity(rows_m)
+            assert blocks["1"] == blocks_m["2"]
+            assert blocks["2"] == blocks_m["1"]
+    else:
+        for file in files:
+            assert (out / file).read_bytes() == (out_m / file).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,24 @@ BAD_EDITS = [
         "discount must be strictly between 0 and 1",
     ),
     ("slab_study", ("analysis.optimizer.base_prices", []), "base_prices must be non-empty"),
+    (
+        "paper_mixed",
+        ("consumers.0.budget", float("inf")),
+        "consumers[0].budget: expected a finite number, got inf",
+    ),
+    (
+        "paper_mixed",
+        ("consumers.0.budget", float("nan")),
+        "consumers[0].budget: expected a finite number, got nan",
+    ),
+    (
+        "paper_convex",
+        ("analysis.equilibrium.bracket", [1, float("-inf")]),
+        "analysis.equilibrium.bracket[1]: expected a finite number, got -inf",
+    ),
+    ("paper_convex", ("consumers.0.budget", 10**400), "consumers[0].budget: number out of range"),
+    ("paper_mixed", ("consumers.0.min_qty1", 0), "consumers[0].min_qty1: min_qty1 must be positive"),
+    ("paper_mixed", ("consumers.0.min_qty2", -5), "consumers[0].min_qty2: min_qty2 must be positive"),
 ]
 
 
