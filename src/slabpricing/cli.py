@@ -28,9 +28,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .demand import demand_convex_pair, own_and_cross
+from .demand import own_and_cross
 from .equilibrium import EquilibriumPoint, FitMethod, SupplyLine, fit_supply_line, solve_equilibrium
-from .errors import PricingError
+from .errors import NumericalError, PricingError
 from .price_response import (
     WTP_REFERENCE_PRICES,
     ResponseContext,
@@ -50,13 +50,7 @@ from .revenue import (
     expected_revenue,
     plan_for_consumer,
 )
-from .scenario import (
-    BUNDLED_SCENARIOS,
-    EquilibriumRequest,
-    Scenario,
-    bundled_scenario_path,
-    parse_scenario,
-)
+from .scenario import BUNDLED_SCENARIOS, Scenario, bundled_scenario_path, parse_scenario
 from .simulate import MCEstimate, SimConfig, estimate_expected_revenue_mc
 
 
@@ -71,21 +65,29 @@ def format_number(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _cell(value: Any) -> str:
-    if isinstance(value, float):
-        return format_number(value)
-    return str(value)
+def _cells(path: Path, header: Sequence[str], row: Sequence[Any]) -> list[str]:
+    cells = []
+    for column, value in zip(header, row, strict=True):
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise NumericalError(f"{path}: non-finite value {value} in column {column!r}")
+            cells.append(format_number(value))
+        else:
+            cells.append(str(value))
+    return cells
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]], overwrite: bool) -> Path:
+    """Write one CSV file; every row is formatted (and checked finite)
+    before the file is opened, so a failure leaves no file behind."""
     if path.exists() and not overwrite:
         raise UsageError(f"{path} exists; pass --overwrite to replace it")
+    lines = [_cells(path, header, row) for row in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(lines)
     print(f"wrote {path}")
     return path
 
@@ -100,14 +102,31 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return parse_scenario(args.scenario)
 
 
+def _request(scenario: Scenario, kind: str) -> Any:
+    """The scenario's analysis request of one kind (a Scenario attribute)."""
+    request = getattr(scenario, kind)
+    if request is None:
+        raise UsageError(f"scenario {scenario.name!r} has no analysis.{kind} request")
+    return request
+
+
 def _consumer_plan(scenario: Scenario, consumer_index: int, commodity: int) -> SlabPlan:
     own, cross = own_and_cross(commodity, scenario.offer1, scenario.offer2)
     return plan_for_consumer(scenario.consumers[consumer_index], own, cross, commodity)
 
 
-def _context_for(scenario: Scenario, consumer_index: int, commodity: int) -> ResponseContext:
-    """Demand context at the first slab of the consumer's plan."""
-    return _consumer_plan(scenario, consumer_index, commodity).slabs[0].context
+def _context_for(
+    scenario: Scenario,
+    consumer_index: int,
+    commodity: int,
+    baseline_min_qty: float | None = None,
+) -> ResponseContext:
+    """Demand context at the first slab of the consumer's plan; a baseline
+    replaces both minimums."""
+    ctx = _consumer_plan(scenario, consumer_index, commodity).slabs[0].context
+    if baseline_min_qty is None:
+        return ctx
+    return dataclasses.replace(ctx, own_min_qty=baseline_min_qty, cross_min_qty=baseline_min_qty)
 
 
 def _price_grid(start: float, stop: float, points: int, spacing: str) -> list[float]:
@@ -128,30 +147,21 @@ def emit_curves_csv(scenario: Scenario, out: Path, overwrite: bool) -> list[Path
     replaced by the request's baseline). Prices sweep the own price with the
     other commodity held at its first-slab price.
     """
-    request = scenario.curves
-    if request is None:
-        raise UsageError(f"scenario {scenario.name!r} has no analysis.curves request")
+    request = _request(scenario, "curves")
     grid = request.grid()
     if not grid:
         raise UsageError("empty price grid")
-    baseline = request.baseline_min_qty
+    consumers = range(len(scenario.consumers))
     written = []
     for commodity, tag in ((1, "mu"), (2, "phi")):
-        _, cross = own_and_cross(commodity, scenario.offer1, scenario.offer2)
-        cross_first_price = cross.slabs[0].unit_price
-        views = [consumer.oriented(commodity) for consumer in scenario.consumers]
+        constrained = [_context_for(scenario, i, commodity) for i in consumers]
         header = ["price"]
-        header += [f"{tag}_{format_number(view.motive1(0))}_constrained" for view in views]
-        header += [f"{tag}_{format_number(view.motive1(0))}_unconstrained" for view in views]
-        variants = views + [
-            dataclasses.replace(view, min_qty1=baseline, min_qty2=baseline) for view in views
+        header += [f"{tag}_{format_number(ctx.motive)}_constrained" for ctx in constrained]
+        header += [f"{tag}_{format_number(ctx.motive)}_unconstrained" for ctx in constrained]
+        contexts = constrained + [
+            _context_for(scenario, i, commodity, request.baseline_min_qty) for i in consumers
         ]
-        rows = []
-        for price in grid:
-            row: list[Any] = [price]
-            for view in variants:
-                row.append(demand_convex_pair(view, price, cross_first_price).x1)
-            rows.append(row)
+        rows = [[price] + [price_response(ctx, price).qty for ctx in contexts] for price in grid]
         written.append(
             write_csv(out / f"demand_x{commodity}.csv", header, rows, overwrite)
         )
@@ -160,9 +170,7 @@ def emit_curves_csv(scenario: Scenario, out: Path, overwrite: bool) -> list[Path
 
 def emit_response_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
     """Response properties table on the requested price grid."""
-    request = scenario.response
-    if request is None:
-        raise UsageError(f"scenario {scenario.name!r} has no analysis.response request")
+    request = _request(scenario, "response")
     ctx = _context_for(scenario, request.consumer, request.commodity)
     grid = _price_grid(request.price_start, request.price_stop, request.points, request.spacing)
     header = ["price", "response", "slope", "hazard", "elasticity"] + [
@@ -212,12 +220,15 @@ def _revenue_rows(name: str, report: RevenueReport) -> list[list[Any]]:
     return rows
 
 
+def _revenue_report(scenario: Scenario) -> RevenueReport:
+    """Expected revenue of the plan the revenue request names; the report
+    carries that plan."""
+    request = _request(scenario, "revenue")
+    return expected_revenue(_consumer_plan(scenario, request.consumer, request.commodity))
+
+
 def emit_revenue_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
-    request = scenario.revenue
-    if request is None:
-        raise UsageError(f"scenario {scenario.name!r} has no analysis.revenue request")
-    plan = _consumer_plan(scenario, request.consumer, request.commodity)
-    report = expected_revenue(plan)
+    report = _revenue_report(scenario)
     return write_csv(
         out / "revenue.csv", _REVENUE_HEADER, _revenue_rows(scenario.name, report), overwrite
     )
@@ -225,9 +236,7 @@ def emit_revenue_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
 
 def emit_slab_study_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
     """Best plan per slab count for the scenario's ladder family."""
-    request = scenario.optimizer
-    if request is None:
-        raise UsageError(f"scenario {scenario.name!r} has no analysis.optimizer request")
+    request = _request(scenario, "optimizer")
     ctx = _context_for(scenario, request.consumer, request.commodity)
     counts = range(1, request.max_slabs + 1)
 
@@ -256,34 +265,16 @@ def emit_slab_study_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
     return write_csv(out / "slab_study.csv", header, rows, overwrite)
 
 
-def _equilibrium_demand(
-    scenario: Scenario,
-    request: EquilibriumRequest,
-    commodity: int,
-    constrained: bool,
-):
-    ctx = _context_for(scenario, request.consumer, commodity)
-    if not constrained:
-        ctx = dataclasses.replace(
-            ctx,
-            own_min_qty=request.baseline_min_qty,
-            cross_min_qty=request.baseline_min_qty,
-        )
-    return lambda price: price_response(ctx, price).qty
-
-
 def _solve_equilibria(
     scenario: Scenario,
 ) -> list[tuple[int, str, SupplyLine, EquilibriumPoint]]:
-    request = scenario.equilibrium
-    if request is None:
-        raise UsageError(f"scenario {scenario.name!r} has no analysis.equilibrium request")
+    request = _request(scenario, "equilibrium")
     results = []
     for commodity, pairs in ((1, request.supply1), (2, request.supply2)):
         supply = fit_supply_line(pairs, request.method)
-        for variant, constrained in (("constrained", True), ("unconstrained", False)):
-            demand_fn = _equilibrium_demand(scenario, request, commodity, constrained)
-            point = solve_equilibrium(demand_fn, supply, request.bracket)
+        for variant, baseline in (("constrained", None), ("unconstrained", request.baseline_min_qty)):
+            ctx = _context_for(scenario, request.consumer, commodity, baseline)
+            point = solve_equilibrium(lambda price: price_response(ctx, price).qty, supply, request.bracket)
             results.append((commodity, variant, supply, point))
     return results
 
@@ -318,9 +309,7 @@ def emit_equilibrium_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path
 
 
 def emit_supply_fit_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
-    request = scenario.equilibrium
-    if request is None:
-        raise UsageError(f"scenario {scenario.name!r} has no analysis.equilibrium request")
+    request = _request(scenario, "equilibrium")
     header = ["commodity", "fit_method", "slope", "intercept"]
     rows = []
     for commodity, pairs in ((1, request.supply1), (2, request.supply2)):
@@ -328,29 +317,6 @@ def emit_supply_fit_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
             line = fit_supply_line(pairs, method)
             rows.append([commodity, method.value, line.slope, line.intercept])
     return write_csv(out / "supply_fit.csv", header, rows, overwrite)
-
-
-def _resolve_sim(scenario: Scenario, seed_flag: int | None) -> tuple[int, int]:
-    request = scenario.simulation
-    if request is None:
-        raise UsageError(f"scenario {scenario.name!r} has no analysis.simulation request")
-    seed = request.seed if seed_flag is None else seed_flag
-    return request.trials, seed
-
-
-def _mc_row(name: str, report: RevenueReport, estimate: MCEstimate, trials: int, seed: int) -> list[Any]:
-    gap = estimate.mean - report.total
-    within = int(abs(gap) <= 3.0 * estimate.standard_error)
-    return [
-        name,
-        trials,
-        seed,
-        report.total,
-        estimate.mean,
-        estimate.standard_error,
-        gap,
-        within,
-    ]
 
 
 _MC_HEADER = [
@@ -365,22 +331,32 @@ _MC_HEADER = [
 ]
 
 
-def emit_simulation_csv(scenario: Scenario, out: Path, overwrite: bool, seed_flag: int | None) -> list[Path]:
-    request = scenario.revenue
-    if request is None:
-        raise UsageError(f"scenario {scenario.name!r} has no analysis.revenue request")
-    trials, seed = _resolve_sim(scenario, seed_flag)
-    plan = _consumer_plan(scenario, request.consumer, request.commodity)
-    report = expected_revenue(plan)
-    estimate = estimate_expected_revenue_mc(SimConfig(trials=trials, seed=seed, plan=plan))
-    written = [
-        write_csv(
-            out / "mc.csv",
-            _MC_HEADER,
-            [_mc_row(scenario.name, report, estimate, trials, seed)],
-            overwrite,
-        )
+def _monte_carlo(
+    scenario: Scenario, seed_flag: int | None
+) -> tuple[RevenueReport, MCEstimate, list[Any]]:
+    """The revenue report, its Monte Carlo estimate and the mc.csv row
+    comparing the two; --seed overrides the scenario's seed."""
+    report = _revenue_report(scenario)
+    request = _request(scenario, "simulation")
+    seed = request.seed if seed_flag is None else seed_flag
+    estimate = estimate_expected_revenue_mc(SimConfig(trials=request.trials, seed=seed, plan=report.plan))
+    gap = estimate.mean - report.total
+    row = [
+        scenario.name,
+        request.trials,
+        seed,
+        report.total,
+        estimate.mean,
+        estimate.standard_error,
+        gap,
+        int(abs(gap) <= 3.0 * estimate.standard_error),
     ]
+    return report, estimate, row
+
+
+def emit_simulation_csv(scenario: Scenario, out: Path, overwrite: bool, seed_flag: int | None) -> list[Path]:
+    report, estimate, row = _monte_carlo(scenario, seed_flag)
+    written = [write_csv(out / "mc.csv", _MC_HEADER, [row], overwrite)]
     slab_header = ["slab", "purchases", "frequency", "purchase_probability"]
     slab_rows = [
         [line.index, count, count / estimate.trials, line.reach_prob * line.acceptance_prob]
@@ -404,32 +380,20 @@ def emit_reproduce_battery(out: Path, overwrite: bool, seed_flag: int | None) ->
 
     revenue_rows: list[list[Any]] = []
     mc_rows: list[list[Any]] = []
-    for name in BUNDLED_SCENARIOS:
-        scenario = scenarios[name]
-        request = scenario.revenue
-        if request is None:
-            continue
-        plan = _consumer_plan(scenario, request.consumer, request.commodity)
-        report = expected_revenue(plan)
+    plans: dict[str, SlabPlan] = {}
+    for name, scenario in scenarios.items():
+        report, _, mc_row = _monte_carlo(scenario, seed_flag)
+        plans[name] = report.plan
         revenue_rows.extend(_revenue_rows(name, report))
-        trials, seed = _resolve_sim(scenario, seed_flag)
-        estimate = estimate_expected_revenue_mc(SimConfig(trials=trials, seed=seed, plan=plan))
-        mc_rows.append(_mc_row(name, report, estimate, trials, seed))
+        mc_rows.append(mc_row)
     written.append(write_csv(out / "revenue_reports.csv", _REVENUE_HEADER, revenue_rows, overwrite))
     written.append(write_csv(out / "mc_validation.csv", _MC_HEADER, mc_rows, overwrite))
 
     ranking_sources = ("paper_convex", "paper_mixed", "paper_nonconvex")
-    domains = []
-    plans = []
-    for name in ranking_sources:
-        scenario = scenarios[name]
-        request = scenario.revenue
-        domains.append(scenario.domain)
-        plans.append(_consumer_plan(scenario, request.consumer, request.commodity))
     comparison = compare_domains(
-        domains,
+        [scenarios[name].domain for name in ranking_sources],
         market=list(convex.consumers),
-        plans=plans,
+        plans=[plans[name] for name in ranking_sources],
         labels=list(ranking_sources),
     )
     rank_header = ["rank", "scenario", "domain_kind", "expected_revenue"]

@@ -11,6 +11,7 @@ scenario.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -308,7 +309,7 @@ def _parse_consumer(node: Any, path: str, offer1: Offer, offer2: Offer) -> Consu
         raise SchemaError(str(exc), path) from exc
 
 
-def _parse_curves(node: Any, path: str) -> CurveRequest:
+def _parse_curves(node: Any, path: str, n_consumers: int) -> CurveRequest:
     fields = _Fields(node, path)
     start, start_path = fields.require("price_start")
     stop, stop_path = fields.require("price_stop")
@@ -324,6 +325,8 @@ def _parse_curves(node: Any, path: str) -> CurveRequest:
         raise SchemaError("price_stop must be at least price_start", stop_path)
     if not step_v > 0:
         raise SchemaError("price_step must be positive", step_path)
+    if not math.isfinite((stop_v - start_v) / step_v):
+        raise SchemaError("price_step is too small for a finite grid", step_path)
     baseline_v = _expect_number(*baseline) if baseline else 1.0
     if not baseline_v > 0:
         raise SchemaError("baseline_min_qty must be positive", baseline[1])  # type: ignore[index]
@@ -457,7 +460,7 @@ def _parse_equilibrium(node: Any, path: str, n_consumers: int) -> EquilibriumReq
     )
 
 
-def _parse_simulation(node: Any, path: str) -> SimulationRequest:
+def _parse_simulation(node: Any, path: str, n_consumers: int) -> SimulationRequest:
     fields = _Fields(node, path)
     trials, trials_path = fields.require("trials")
     seed, seed_path = fields.require("seed")
@@ -469,6 +472,18 @@ def _parse_simulation(node: Any, path: str) -> SimulationRequest:
     if not 0 <= seed_v < 2**64:
         raise SchemaError("seed must fit in 64 bits", seed_path)
     return SimulationRequest(trials=trials_v, seed=seed_v)
+
+
+# analysis key -> parser(node, path, number of consumers), in reading order;
+# each key is also the Scenario attribute that holds the parsed request
+_REQUEST_PARSERS = {
+    "curves": _parse_curves,
+    "response": _parse_response,
+    "revenue": _parse_revenue,
+    "optimizer": _parse_optimizer,
+    "equilibrium": _parse_equilibrium,
+    "simulation": _parse_simulation,
+}
 
 
 def scenario_from_dict(root: Any) -> Scenario:
@@ -503,27 +518,13 @@ def scenario_from_dict(root: Any) -> Scenario:
     )
     feasible = tuple(affordable(c, offer1, offer2) for c in parsed_consumers)
 
-    curves = response = revenue = optimizer = equilibrium = simulation = None
+    requests = {}
     if analysis is not None:
         analysis_fields = _Fields(*analysis)
-        node = analysis_fields.optional("curves")
-        if node:
-            curves = _parse_curves(*node)
-        node = analysis_fields.optional("response")
-        if node:
-            response = _parse_response(*node, len(parsed_consumers))
-        node = analysis_fields.optional("revenue")
-        if node:
-            revenue = _parse_revenue(*node, len(parsed_consumers))
-        node = analysis_fields.optional("optimizer")
-        if node:
-            optimizer = _parse_optimizer(*node, len(parsed_consumers))
-        node = analysis_fields.optional("equilibrium")
-        if node:
-            equilibrium = _parse_equilibrium(*node, len(parsed_consumers))
-        node = analysis_fields.optional("simulation")
-        if node:
-            simulation = _parse_simulation(*node)
+        for key, parse in _REQUEST_PARSERS.items():
+            node = analysis_fields.optional(key)
+            if node:
+                requests[key] = parse(*node, len(parsed_consumers))
         analysis_fields.finish()
 
     return Scenario(
@@ -534,12 +535,7 @@ def scenario_from_dict(root: Any) -> Scenario:
         offer2=offer2,
         consumers=parsed_consumers,
         feasible=feasible,
-        curves=curves,
-        response=response,
-        revenue=revenue,
-        optimizer=optimizer,
-        equilibrium=equilibrium,
-        simulation=simulation,
+        **requests,
     )
 
 
@@ -579,54 +575,23 @@ def _consumer_to_dict(consumer: Consumer) -> dict:
     }
 
 
+def _plain(value: Any) -> Any:
+    """A request field as JSON: tuples become lists, enums their value."""
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, FitMethod):
+        return value.value
+    return value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Scenario as the plain-JSON structure parse_scenario reads."""
-    analysis: dict[str, Any] = {}
-    if scenario.curves:
-        analysis["curves"] = {
-            "price_start": scenario.curves.price_start,
-            "price_stop": scenario.curves.price_stop,
-            "price_step": scenario.curves.price_step,
-            "baseline_min_qty": scenario.curves.baseline_min_qty,
-        }
-    if scenario.response:
-        analysis["response"] = {
-            "consumer": scenario.response.consumer,
-            "commodity": scenario.response.commodity,
-            "price_start": scenario.response.price_start,
-            "price_stop": scenario.response.price_stop,
-            "points": scenario.response.points,
-            "spacing": scenario.response.spacing,
-        }
-    if scenario.revenue:
-        analysis["revenue"] = {
-            "consumer": scenario.revenue.consumer,
-            "commodity": scenario.revenue.commodity,
-        }
-    if scenario.optimizer:
-        analysis["optimizer"] = {
-            "base_prices": list(scenario.optimizer.base_prices),
-            "max_slabs": scenario.optimizer.max_slabs,
-            "discount": scenario.optimizer.discount,
-            "acceptance": scenario.optimizer.acceptance,
-            "attention_span": scenario.optimizer.attention_span,
-            "consumer": scenario.optimizer.consumer,
-            "commodity": scenario.optimizer.commodity,
-        }
-    if scenario.equilibrium:
-        analysis["equilibrium"] = {
-            "supply1": [list(pair) for pair in scenario.equilibrium.supply1],
-            "supply2": [list(pair) for pair in scenario.equilibrium.supply2],
-            "method": scenario.equilibrium.method.value,
-            "bracket": list(scenario.equilibrium.bracket),
-            "consumer": scenario.equilibrium.consumer,
-            "baseline_min_qty": scenario.equilibrium.baseline_min_qty,
-        }
-    if scenario.simulation:
-        analysis["simulation"] = {
-            "trials": scenario.simulation.trials,
-            "seed": scenario.simulation.seed,
-        }
+    analysis = {}
+    for key in _REQUEST_PARSERS:
+        request = getattr(scenario, key)
+        if request is not None:
+            fields = dataclasses.fields(request)
+            analysis[key] = {field.name: _plain(getattr(request, field.name)) for field in fields}
     document: dict[str, Any] = {
         "version": scenario.version,
         "name": scenario.name,

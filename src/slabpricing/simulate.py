@@ -7,11 +7,12 @@ acceptance probability, realize demand times price at the first acceptance,
 
 Randomness comes from numpy's PCG64 generator, whose streams are documented,
 seedable, and identical across platforms. Trials run in fixed batches of
-65536; batch i draws from child i of SeedSequence(seed).spawn(...), so a
-future parallel executor can hand batches to workers without changing a
-single draw. Sample statistics are computed from integer outcome counts,
-which makes them independent of reduction order and bit-identical run to
-run.
+65536; batch i draws from SeedSequence(seed, spawn_key=(i,)), which is
+child i of SeedSequence(seed).spawn(...) derived on demand, so memory does
+not grow with the trial count and a future parallel executor can hand
+batches to workers without changing a single draw. Sample statistics are
+computed from integer outcome counts, which makes them independent of
+reduction order and bit-identical run to run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalError
 from .revenue import DemandFn, SlabPlan, as_response_point, slab_demand_fn
 
 _BATCH_TRIALS = 65536
@@ -97,21 +98,25 @@ def estimate_expected_revenue_mc(config: SimConfig) -> MCEstimate:
     and buys at the first accepting rung, which consumes draws exactly like
     simulate_consumer does. Statistics come from the per-rung purchase
     counts, so a degenerate plan (single rung, acceptance 1) reports the
-    closed-form revenue with standard error exactly 0.
+    closed-form revenue with standard error exactly 0. A non-finite slab
+    revenue raises NumericalError before any trial runs.
     """
     plan = config.plan
     k_eff = plan.reachable_slabs
     lambdas = np.asarray(plan.acceptance_probs[:k_eff], dtype=np.float64)
-    revenues = np.asarray(_slab_revenues(plan, config.demand_fn)[:k_eff], dtype=np.float64)
+    slab_revenues = _slab_revenues(plan, config.demand_fn)[:k_eff]
+    for k, revenue in enumerate(slab_revenues, start=1):
+        if not math.isfinite(revenue):
+            raise NumericalError(f"slab {k} revenue is non-finite: {revenue}")
+    revenues = np.asarray(slab_revenues, dtype=np.float64)
 
     counts = np.zeros(k_eff, dtype=np.int64)
     n_batches = -(-config.trials // _BATCH_TRIALS)
-    children = np.random.SeedSequence(config.seed).spawn(n_batches)
     remaining = config.trials
-    for child in children:
+    for i in range(n_batches):
         batch = min(_BATCH_TRIALS, remaining)
         remaining -= batch
-        rng = np.random.default_rng(child)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
         accept = rng.random((batch, k_eff)) < lambdas[np.newaxis, :]
         bought = accept.any(axis=1)
         first = np.argmax(accept, axis=1)
@@ -122,7 +127,11 @@ def estimate_expected_revenue_mc(config: SimConfig) -> MCEstimate:
     weights = counts / n
     mean = float(weights @ revenues)
     if n > 1:
-        spread = float(counts @ (revenues - mean) ** 2) + no_purchase * mean**2
+        try:
+            with np.errstate(over="raise"):
+                spread = float(counts @ (revenues - mean) ** 2) + no_purchase * mean**2
+        except (OverflowError, FloatingPointError):
+            raise NumericalError("standard error overflows: slab revenues are too large") from None
         standard_error = math.sqrt(spread / (n - 1) / n)
     else:
         standard_error = 0.0

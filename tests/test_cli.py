@@ -1,13 +1,14 @@
 """Command line behavior: exit codes, file contracts, number formatting."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from slabpricing import BUNDLED_SCENARIOS, bundled_scenario_path
+from slabpricing import BUNDLED_SCENARIOS, bundled_scenario_path, demand_convex_pair, parse_scenario
 from slabpricing.cli import format_number, main, run
 
 CONVEX = str(bundled_scenario_path("paper_convex"))
@@ -86,6 +87,23 @@ def test_non_finite_number_exits_3(tmp_path, capsys, command):
     assert run(["--scenario", path, "--out", str(out), command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error[schema]: consumers[0].budget: expected a finite number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["revenue", "simulate"])
+def test_non_finite_output_exits_5(tmp_path, capsys, command):
+    # a finite budget passes the loader, but demand at the posted prices
+    # overflows to inf
+    def huge_budget(doc):
+        doc["consumers"][0]["budget"] = 1e308
+
+    path = mutated_scenario(tmp_path, "paper_mixed", huge_budget)
+    out = tmp_path / "out"
+    assert run(["--scenario", path, "--out", str(out), command]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[numerical]:")
+    assert "non-finite" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -169,6 +187,31 @@ def test_demand_curve_files(tmp_path):
         assert rows[0][10] == f"{tag}_0.1_unconstrained"
         assert rows[1][0] == "1"
         assert rows[50][0] == "50"
+
+
+@pytest.mark.parametrize("commodity", [1, 2])
+def test_demand_curves_match_the_convex_pair_formula(tmp_path, commodity):
+    # every data cell is the library's convex-pair demand for the consumer
+    # viewed on that commodity, the other commodity at its first-slab price
+    out = tmp_path / "out"
+    assert run(["--scenario", CONVEX, "--out", str(out), "demand"]) == 0
+    scenario = parse_scenario(CONVEX)
+    baseline = scenario.curves.baseline_min_qty
+    views = [consumer.oriented(commodity) for consumer in scenario.consumers]
+    variants = views + [
+        dataclasses.replace(view, min_qty1=baseline, min_qty2=baseline) for view in views
+    ]
+    cross = scenario.offer2 if commodity == 1 else scenario.offer1
+    cross_first_price = cross.slabs[0].unit_price
+    rows = read_rows(out / f"demand_x{commodity}.csv")[1:]
+    assert len(variants) == 18
+    assert [row[0] for row in rows] == [format_number(p) for p in scenario.curves.grid()]
+    for row, price in zip(rows, scenario.curves.grid()):
+        expected = [
+            format_number(demand_convex_pair(view, price, cross_first_price).x1)
+            for view in variants
+        ]
+        assert row[1:] == expected
 
 
 def test_equilibrium_files(tmp_path):

@@ -1,6 +1,7 @@
 """Scenario files: bundled content, round-tripping, and strict schema checks."""
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -109,6 +110,24 @@ def test_serialization_round_trip(name):
     assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
 
+# sha256 of serialize_scenario's text, frozen when the serializer was
+# written out field by field; re-parsing equality alone would not see a
+# change of key order or number text
+SERIALIZED_SHA256 = {
+    "paper_convex": "d932444e55d4869d64038fc09115cb7d9191c125a33e22fc2f89e58ea148b621",
+    "paper_mixed": "8a3d29b9995b909360de1558865586c9a1373e054747388b57dae3dce6810d34",
+    "paper_nonconvex": "389d8e6d41ffa90ad3d668649ac7cc85ae5a34a8f090fc56adb74cf68afa2e98",
+    "paper_beans": "138590d7a370fa7c2e2bb39c198fb62655cfaeb02aa7ad2c93b8baae045d64f9",
+    "slab_study": "7ad314b72ed100de80fbf6f07388dacf84ada35a4b30df12a2a8e5c94f0297b0",
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_serialized_text_is_frozen(name):
+    text = serialize_scenario(parse_scenario(bundled_scenario_path(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_SHA256[name]
+
+
 def test_defaults_for_name_and_currency():
     doc = load_dict("paper_mixed")
     del doc["name"]
@@ -213,6 +232,11 @@ BAD_EDITS = [
     ("paper_convex", ("consumers.0.budget", 10**400), "consumers[0].budget: number out of range"),
     ("paper_mixed", ("consumers.0.min_qty1", 0), "consumers[0].min_qty1: min_qty1 must be positive"),
     ("paper_mixed", ("consumers.0.min_qty2", -5), "consumers[0].min_qty2: min_qty2 must be positive"),
+    (
+        "paper_convex",
+        ("analysis.curves", {"price_start": 1, "price_stop": 1e300, "price_step": 1e-300}),
+        "analysis.curves.price_step: price_step is too small",
+    ),
 ]
 
 

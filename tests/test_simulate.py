@@ -9,6 +9,7 @@ import pytest
 from slabpricing import (
     InvalidParameterError,
     MCEstimate,
+    NumericalError,
     PlanSlab,
     ResponseContext,
     SimConfig,
@@ -108,6 +109,24 @@ def test_single_trial_has_no_spread():
     assert estimate.standard_error == 0.0
     assert estimate.trials == 1
     assert sum(estimate.slab_counts) + estimate.no_purchase_count == 1
+
+
+def test_non_finite_slab_revenue_is_refused():
+    def overflowing(k, price):
+        return math.inf if k == 1 else 100.0
+
+    with pytest.raises(NumericalError, match="slab 2 revenue is non-finite"):
+        estimate_expected_revenue_mc(SimConfig(100, 1, HALF_PLAN, demand_fn=overflowing))
+    # a rung past the attention span is never visited, so it may not count
+    wide = ladder((10.0, 9.5, 9.0), (0.5, 0.5, 0.5), span=1)
+    estimate = estimate_expected_revenue_mc(SimConfig(100, 1, wide, demand_fn=overflowing))
+    assert estimate.slab_counts[1:] == (0, 0)
+
+
+def test_overflowing_spread_is_refused():
+    # finite revenues whose squares overflow: the spread cannot be formed
+    with pytest.raises(NumericalError, match="standard error overflows"):
+        estimate_expected_revenue_mc(SimConfig(100, 1, HALF_PLAN, demand_fn=lambda k, p: 1e200))
 
 
 def test_config_validation():
