@@ -392,7 +392,6 @@ def emit_reproduce_battery(out: Path, overwrite: bool, seed_flag: int | None) ->
     ranking_sources = ("paper_convex", "paper_mixed", "paper_nonconvex")
     comparison = compare_domains(
         [scenarios[name].domain for name in ranking_sources],
-        market=list(convex.consumers),
         plans=[plans[name] for name in ranking_sources],
         labels=list(ranking_sources),
     )

@@ -95,7 +95,8 @@ class Consumer:
         motives2: per-slab desire for commodity 2, same convention.
         min_qty1, min_qty2: quantities the consumer must buy at minimum.
         max_qty1, max_qty2: upper anchors for the desire scale; must exceed
-            the corresponding minimum.
+            the corresponding minimum. They are inert: validated and pooled,
+            but no demand, revenue or CLI output reads them.
         attention_span: how many slabs the consumer will consider before
             walking away.
         acceptance_probs: per-slab probability of accepting that slab's
@@ -422,16 +423,28 @@ class AggregateDemand:
     raw_x2: float
 
 
-def _pooled_consumer(market: Sequence[Consumer]) -> Consumer:
+def pooled_consumer(market: Sequence[Consumer]) -> Consumer:
+    """One consumer standing for a whole market.
+
+    Budgets, minimums and maximums add; each slab's motive is the strongest
+    in the market, up to the longest motive tuple. The walk parameters
+    (attention span, acceptance probabilities) are the first consumer's,
+    who shops for the pooled demand. This is the one place a market pools.
+    """
+    market = list(market)
+    if not market:
+        raise InvalidParameterError("market must contain at least one consumer")
+    slabs1 = range(max(len(c.motives1) for c in market))
+    slabs2 = range(max(len(c.motives2) for c in market))
     return Consumer(
         budget=sum(c.budget for c in market),
-        motives1=(max(c.motive1(0) for c in market),),
-        motives2=(max(c.motive2(0) for c in market),),
+        motives1=tuple(max(c.motive1(k) for c in market) for k in slabs1),
+        motives2=tuple(max(c.motive2(k) for c in market) for k in slabs2),
         min_qty1=sum(c.min_qty1 for c in market),
         min_qty2=sum(c.min_qty2 for c in market),
         max_qty1=sum(c.max_qty1 for c in market),
         max_qty2=sum(c.max_qty2 for c in market),
-        attention_span=max(c.attention_span for c in market),
+        attention_span=market[0].attention_span,
         acceptance_probs=market[0].acceptance_probs,
     )
 
@@ -445,8 +458,11 @@ def _top_two(values: Sequence[float]) -> tuple[int, float, float]:
     return k, top, (max(rest) if rest else top)
 
 
-def _aggregate_mixed(market: Sequence[Consumer], offer1: Offer, offer2: Offer) -> tuple[float, float, int]:
-    """Market demand when offer1 is linear-price and offer2 is slab-priced.
+def _aggregate_mixed(
+    market: Sequence[Consumer], pooled: Consumer, offer1: Offer, offer2: Offer
+) -> tuple[float, float, int]:
+    """Market demand when offer1 is linear-price and offer2 is slab-priced;
+    ``pooled`` is the market's pooled_consumer.
 
     The strongest motive holder dominates the market the way the strongest
     degree dominates a fuzzy union, so their own minimum enters at the top
@@ -462,13 +478,9 @@ def _aggregate_mixed(market: Sequence[Consumer], offer1: Offer, offer2: Offer) -
     individual mixed-case formula.
     """
     p1 = offer1.slabs[0].unit_price
-    pooled = _pooled_consumer(market)
     slab = _select_slab(pooled, p1, offer2)
     p2k = offer2.slabs[slab].unit_price
-
-    total_m = sum(c.budget for c in market)
-    total_min1 = sum(c.min_qty1 for c in market)
-    total_min2 = sum(c.min_qty2 for c in market)
+    total_m, total_min1, total_min2 = pooled.budget, pooled.min_qty1, pooled.min_qty2
 
     k1, mu_top, mu_2nd = _top_two([c.motive1(0) for c in market])
     others_min2 = total_min2 - market[k1].min_qty2
@@ -502,8 +514,7 @@ def aggregate_demand(
     only (price sweeps); slab structures always price themselves.
     """
     market = list(market)
-    if not market:
-        raise InvalidParameterError("market must contain at least one consumer")
+    pooled = pooled_consumer(market)
     kind = domain.kind
     if prices is not None and kind is not DomainKind.CONVEX:
         raise InvalidParameterError("price override applies only to convex domains")
@@ -514,17 +525,17 @@ def aggregate_demand(
             domain.offer1.slabs[0].unit_price,
             domain.offer2.slabs[0].unit_price,
         )
-        pair = demand_convex_pair(_pooled_consumer(market), p1, p2)
+        pair = demand_convex_pair(pooled, p1, p2)
         raw_x1, raw_x2 = pair.raw_x1, pair.raw_x2
     elif kind is DomainKind.MIXED:
         # orient the market so the linear-price commodity sits in slot 1
         linear = 1 if domain.offer1.is_linear_price else 2
         offers = own_and_cross(linear, domain.offer1, domain.offer2)
         views = [c.oriented(linear) for c in market]
-        x_linear, x_slabbed, chosen = _aggregate_mixed(views, *offers)
+        x_linear, x_slabbed, chosen = _aggregate_mixed(views, pooled.oriented(linear), *offers)
         raw_x1, raw_x2 = own_and_cross(linear, x_linear, x_slabbed)
     else:
-        staged = demand_nonconvex_pair(_pooled_consumer(market), domain.offer1, domain.offer2)
+        staged = demand_nonconvex_pair(pooled, domain.offer1, domain.offer2)
         raw_x1, raw_x2 = staged.x1_initial, staged.x2_initial
 
     return AggregateDemand(
@@ -536,25 +547,3 @@ def aggregate_demand(
         raw_x1=raw_x1,
         raw_x2=raw_x2,
     )
-
-
-def nonconvex_initial_composite(consumer: Consumer, offer1: Offer, offer2: Offer) -> tuple[float, float]:
-    """Stage-1 quantities computed through the literal composite substitutions.
-
-    The source derivation routes stage 1 through composite symbols
-    q1 = m - (p1_1 * x1min) * p1_2 and q2 = (m - p2_2 * x2min) * p2_1 that
-    cancel algebraically. This evaluates that long form verbatim as a
-    cross-check on the simplified arithmetic in demand_nonconvex_pair.
-    """
-    if offer1.n_slabs < 2 or offer2.n_slabs < 2:
-        raise InvalidParameterError("non-convex demand needs two rungs on both offers")
-    p1_1, p1_2 = offer1.slabs[0].unit_price, offer1.slabs[1].unit_price
-    p2_1, p2_2 = offer2.slabs[0].unit_price, offer2.slabs[1].unit_price
-    mu = consumer.motive1(0)
-    phi = consumer.motive2(0)
-    m = consumer.budget
-    q1 = m - (p1_1 * consumer.min_qty1) * p1_2
-    q2 = (m - p2_2 * consumer.min_qty2) * p2_1
-    x1 = (mu / q1) * ((q1 / p1_2) * (m - p2_2 * consumer.min_qty2) - q1 * consumer.min_qty1) + consumer.min_qty1
-    x2 = (phi / q2) * ((q2 / p2_1) * (m - p1_1 * consumer.min_qty1) - q2 * consumer.min_qty2) + consumer.min_qty2
-    return x1, x2

@@ -10,6 +10,7 @@ into the same solver.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -94,7 +95,8 @@ def solve_equilibrium(
     itself collapses to relative width 1e-12, so the returned quantity is
     far more precise than the residual bound alone would imply (closed-form
     cross-checks hold to better than 1e-9 relative). Infeasible-demand
-    errors raised by demand_fn propagate unchanged.
+    errors raised by demand_fn propagate unchanged; a non-finite demand
+    raises NumericalError at the first quantity that produces it.
     """
     q_lo, q_hi = bracket
     if not q_lo < q_hi:
@@ -102,7 +104,13 @@ def solve_equilibrium(
     residual_tol = 1e-9 * q_hi
 
     def gap(q: float) -> float:
-        return demand_fn(supply.price_at(q)) - q
+        price = supply.price_at(q)
+        g = demand_fn(price) - q
+        if not math.isfinite(g):
+            raise NumericalError(
+                f"demand at price {price:.6g} (quantity {q:.6g}) is not finite: gap {g}"
+            )
+        return g
 
     g_lo, g_hi = gap(q_lo), gap(q_hi)
     if g_lo == 0.0:

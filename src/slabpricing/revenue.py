@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .demand import Consumer, DomainSpec, Offer, own_and_cross
+from .demand import Consumer, DomainSpec, Offer
 from .errors import InvalidParameterError
 from .price_response import ResponseContext, ResponsePoint, price_response
 
@@ -266,54 +266,32 @@ def plan_for_consumer(
     other_offer: Offer,
     commodity: int,
 ) -> SlabPlan:
-    """Plan a single consumer faces on one commodity's slab ladder.
-
-    This is the plan of a one-consumer market: slab k pairs with the other
-    offer's rung of the same rank (clamped to its last rung), carries the
-    consumer's per-slab motive, and keeps the consumer's own minimums.
-    """
-    return plan_for_market([consumer], own_offer, other_offer, commodity)
-
-
-def plan_for_market(
-    market: Sequence[Consumer],
-    own_offer: Offer,
-    other_offer: Offer,
-    commodity: int,
-) -> SlabPlan:
-    """Market-level plan: summed budgets/minimums, strongest per-slab motive.
+    """Plan a consumer faces on one commodity's slab ladder.
 
     Slab k pairs with the other offer's rung of the same rank (clamped to
-    its last rung). Acceptance probabilities and attention span come from
-    the first consumer (the walk is a single representative shopper for the
-    pooled demand); acceptance probabilities stretch to the slab count by
-    repeating the last entry.
+    its last rung), carries the consumer's motive for slab k, and keeps the
+    consumer's budget and minimums. Acceptance probabilities stretch to the
+    slab count by repeating the last entry. A market is planned as its
+    pooled_consumer.
     """
-    if not market:
-        raise InvalidParameterError("market must contain at least one consumer")
-    views = [c.oriented(commodity) for c in market]
-    budget = sum(c.budget for c in views)
-    own_min = sum(c.min_qty1 for c in views)
-    cross_min = sum(c.min_qty2 for c in views)
-    slabs = []
-    for k, slab in enumerate(own_offer.slabs):
-        other = other_offer.slabs[min(k, other_offer.n_slabs - 1)]
-        slabs.append(
-            PlanSlab(
-                price=slab.unit_price,
-                context=ResponseContext(
-                    motive=max(c.motive1(k) for c in views),
-                    budget=budget,
-                    cross_price=other.unit_price,
-                    own_min_qty=own_min,
-                    cross_min_qty=cross_min,
-                ),
-            )
+    view = consumer.oriented(commodity)
+    slabs = tuple(
+        PlanSlab(
+            price=slab.unit_price,
+            context=ResponseContext(
+                motive=view.motive1(k),
+                budget=view.budget,
+                cross_price=other_offer.slabs[min(k, other_offer.n_slabs - 1)].unit_price,
+                own_min_qty=view.min_qty1,
+                cross_min_qty=view.min_qty2,
+            ),
         )
+        for k, slab in enumerate(own_offer.slabs)
+    )
     return SlabPlan(
-        slabs=tuple(slabs),
-        acceptance_probs=_fit_length(market[0].acceptance_probs, len(slabs)),
-        attention_span=market[0].attention_span,
+        slabs=slabs,
+        acceptance_probs=_fit_length(consumer.acceptance_probs, len(slabs)),
+        attention_span=consumer.attention_span,
     )
 
 
@@ -337,23 +315,16 @@ class DomainComparison:
 
 def compare_domains(
     domains: Sequence[DomainSpec],
-    market: Sequence[Consumer],
-    plans: Sequence[SlabPlan] | None = None,
+    plans: Sequence[SlabPlan],
     labels: Sequence[str] | None = None,
-    commodity: int = 1,
 ) -> DomainComparison:
-    """Rank domains by the expected revenue each earns from a shared market.
+    """Rank domains by the expected revenue of each one's plan.
 
-    One plan per domain; when plans are omitted each domain is planned for
-    the pooled market via plan_for_market. Equal totals keep input order.
+    One plan per domain; labels default to the domain kinds. Equal totals
+    keep input order.
     """
     if len(domains) < 2:
         raise InvalidParameterError("need at least two domains to compare")
-    if plans is None:
-        plans = [
-            plan_for_market(market, *own_and_cross(commodity, d.offer1, d.offer2), commodity)
-            for d in domains
-        ]
     if len(plans) != len(domains):
         raise InvalidParameterError("need exactly one plan per domain")
     if labels is None:

@@ -19,11 +19,16 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .demand import Consumer, DomainSpec, Offer, Slab, affordable, make_domain
+from .demand import Consumer, DomainSpec, Offer, Slab, make_domain
 from .equilibrium import FitMethod
 from .errors import PricingError, SchemaError
 
 SCENARIO_VERSION = 1
+
+# the largest curve or response grid and trial count a scenario may request;
+# larger values are schema errors, not out-of-memory or hour-long runs
+MAX_GRID_POINTS = 100_000
+MAX_TRIALS = 10**9
 
 BUNDLED_SCENARIOS = (
     "paper_convex",
@@ -143,9 +148,14 @@ class CurveRequest:
     price_step: float
     baseline_min_qty: float = 1.0
 
+    def n_points(self) -> float:
+        """Number of prices in grid(); inf when the step is too small for
+        the span over the step to be a finite number."""
+        ratio = (self.price_stop - self.price_start) / self.price_step + 1e-9
+        return int(ratio) + 1 if math.isfinite(ratio) else math.inf
+
     def grid(self) -> list[float]:
-        n = int((self.price_stop - self.price_start) / self.price_step + 1e-9) + 1
-        return [self.price_start + i * self.price_step for i in range(n)]
+        return [self.price_start + i * self.price_step for i in range(int(self.n_points()))]
 
 
 @dataclass(frozen=True)
@@ -201,7 +211,6 @@ class Scenario:
     offer1: Offer
     offer2: Offer
     consumers: tuple[Consumer, ...]
-    feasible: tuple[bool, ...]
     curves: CurveRequest | None = None
     response: ResponseRequest | None = None
     revenue: RevenueRequest | None = None
@@ -212,9 +221,6 @@ class Scenario:
     @property
     def domain(self) -> DomainSpec:
         return make_domain(self.offer1, self.offer2)
-
-    def consumer_at(self, index: int) -> Consumer:
-        return self.consumers[index]
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +331,15 @@ def _parse_curves(node: Any, path: str, n_consumers: int) -> CurveRequest:
         raise SchemaError("price_stop must be at least price_start", stop_path)
     if not step_v > 0:
         raise SchemaError("price_step must be positive", step_path)
-    if not math.isfinite((stop_v - start_v) / step_v):
-        raise SchemaError("price_step is too small for a finite grid", step_path)
+    request = CurveRequest(start_v, stop_v, step_v)
+    if not request.n_points() <= MAX_GRID_POINTS:
+        raise SchemaError(
+            f"price_step is too small: the grid would exceed {MAX_GRID_POINTS} points", step_path
+        )
     baseline_v = _expect_number(*baseline) if baseline else 1.0
     if not baseline_v > 0:
         raise SchemaError("baseline_min_qty must be positive", baseline[1])  # type: ignore[index]
-    return CurveRequest(start_v, stop_v, step_v, baseline_v)
+    return dataclasses.replace(request, baseline_min_qty=baseline_v)
 
 
 def _parse_response(node: Any, path: str, n_consumers: int) -> ResponseRequest:
@@ -351,6 +360,8 @@ def _parse_response(node: Any, path: str, n_consumers: int) -> ResponseRequest:
     points_v = _expect_int(points, points_path)
     if points_v < 2:
         raise SchemaError("points must be at least 2", points_path)
+    if points_v > MAX_GRID_POINTS:
+        raise SchemaError(f"points must be at most {MAX_GRID_POINTS}", points_path)
     spacing_v = _expect_str(*spacing) if spacing else "log"
     if spacing_v not in ("log", "linear"):
         raise SchemaError("spacing must be 'log' or 'linear'", spacing[1])  # type: ignore[index]
@@ -468,6 +479,8 @@ def _parse_simulation(node: Any, path: str, n_consumers: int) -> SimulationReque
     trials_v = _expect_int(trials, trials_path)
     if trials_v < 1:
         raise SchemaError("trials must be at least 1", trials_path)
+    if trials_v > MAX_TRIALS:
+        raise SchemaError(f"trials must be at most {MAX_TRIALS}", trials_path)
     seed_v = _expect_int(seed, seed_path)
     if not 0 <= seed_v < 2**64:
         raise SchemaError("seed must fit in 64 bits", seed_path)
@@ -516,7 +529,6 @@ def scenario_from_dict(root: Any) -> Scenario:
         _parse_consumer(node, f"{consumers_path}[{i}]", offer1, offer2)
         for i, node in enumerate(consumer_nodes)
     )
-    feasible = tuple(affordable(c, offer1, offer2) for c in parsed_consumers)
 
     requests = {}
     if analysis is not None:
@@ -534,7 +546,6 @@ def scenario_from_dict(root: Any) -> Scenario:
         offer1=offer1,
         offer2=offer2,
         consumers=parsed_consumers,
-        feasible=feasible,
         **requests,
     )
 

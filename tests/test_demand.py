@@ -24,7 +24,6 @@ from slabpricing import (
     demand_mixed_pair,
     demand_nonconvex_pair,
     make_domain,
-    nonconvex_initial_composite,
 )
 from conftest import make_consumer
 
@@ -226,6 +225,26 @@ def test_budget_exhausting_qty_frozen():
     assert budget_exhausting_qty(1000.0, 0.2, 100.0, 0.054) == 18148.14814814815
     with pytest.raises(InvalidParameterError):
         budget_exhausting_qty(1000.0, 0.2, 100.0, 0.0)
+
+
+def nonconvex_initial_composite(consumer: Consumer, offer1: Offer, offer2: Offer) -> tuple[float, float]:
+    """Stage-1 quantities computed through the literal composite substitutions.
+
+    The source derivation routes stage 1 through composite symbols
+    q1 = m - (p1_1 * x1min) * p1_2 and q2 = (m - p2_2 * x2min) * p2_1 that
+    cancel algebraically. This evaluates that long form verbatim as a
+    cross-check on the simplified arithmetic in demand_nonconvex_pair.
+    """
+    p1_1, p1_2 = offer1.slabs[0].unit_price, offer1.slabs[1].unit_price
+    p2_1, p2_2 = offer2.slabs[0].unit_price, offer2.slabs[1].unit_price
+    mu = consumer.motive1(0)
+    phi = consumer.motive2(0)
+    m = consumer.budget
+    q1 = m - (p1_1 * consumer.min_qty1) * p1_2
+    q2 = (m - p2_2 * consumer.min_qty2) * p2_1
+    x1 = (mu / q1) * ((q1 / p1_2) * (m - p2_2 * consumer.min_qty2) - q1 * consumer.min_qty1) + consumer.min_qty1
+    x2 = (phi / q2) * ((q2 / p2_1) * (m - p1_1 * consumer.min_qty1) - q2 * consumer.min_qty2) + consumer.min_qty2
+    return x1, x2
 
 
 def test_composite_form_agrees_with_the_simplified_one(stepped_offer1, stepped_offer2):

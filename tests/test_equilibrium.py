@@ -172,6 +172,35 @@ def test_demand_errors_propagate():
         solve_equilibrium(starved, supply, BRACKET)
 
 
+@pytest.mark.parametrize("where", ["low end", "high end"])
+def test_non_finite_demand_at_the_bracket_fails_at_once(where):
+    supply = fit_supply_line(S1_PAIRS)
+    bad_price = supply.price_at(BRACKET[0] if where == "low end" else BRACKET[1])
+    calls = []
+
+    def demand(price: float) -> float:
+        calls.append(price)
+        return math.nan if price == bad_price else 250.0
+
+    with pytest.raises(NumericalError, match=f"demand at price {bad_price:.6g} .*not finite"):
+        solve_equilibrium(demand, supply, BRACKET)
+    assert len(calls) <= 2
+
+
+def test_non_finite_demand_at_a_midpoint_names_it():
+    # finite and straddling at both ends, NaN strictly inside the bracket
+    supply = SupplyLine(1.0, 0.0, FitMethod.TWO_POINT, ((1.0, 1.0), (2.0, 2.0)))
+    calls = []
+
+    def demand(price: float) -> float:
+        calls.append(price)
+        return math.nan if 100.0 < price < 3000.0 else 1000.0
+
+    with pytest.raises(NumericalError, match="quantity 2000.5\\) is not finite"):
+        solve_equilibrium(demand, supply, (1.0, 4000.0))
+    assert len(calls) == 3
+
+
 def test_jump_discontinuity_is_an_honest_failure():
     # demand drops from 1000 to 0 across the crossing, so no midpoint can
     # ever meet the residual bound and the solver must say so

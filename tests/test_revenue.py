@@ -26,9 +26,10 @@ from slabpricing import (
     optimize_slab_structure,
     parse_scenario,
     plan_for_consumer,
-    plan_for_market,
+    pooled_consumer,
     purchase_probability,
 )
+from slabpricing.demand import own_and_cross
 
 CTX = ResponseContext(
     motive=0.5, budget=1000.0, cross_price=0.19, own_min_qty=200.0, cross_min_qty=200.0
@@ -281,12 +282,11 @@ def test_plan_for_consumer_rejects_unknown_commodity(linear_offer1, linear_offer
         plan_for_consumer(make_consumer(), linear_offer1, linear_offer2, commodity=3)
 
 
-def test_plan_for_market_pools_and_takes_the_strongest_motive(
-    stepped_offer1, stepped_offer2
-):
+def test_plan_for_market_pools_and_takes_the_strongest_motive(stepped_offer1, stepped_offer2):
+    """A market's plan is the plan of its pooled consumer."""
     a = Consumer(1000.0, (0.2, 0.8), (0.5,), 250.0, 200.0, 6250.0, 6200.0, 2, (0.4,))
     b = Consumer(500.0, (0.6, 0.3), (0.5,), 100.0, 50.0, 6100.0, 6050.0, 3, (0.7, 0.1))
-    plan = plan_for_market([a, b], stepped_offer1, stepped_offer2, commodity=1)
+    plan = plan_for_consumer(pooled_consumer([a, b]), stepped_offer1, stepped_offer2, commodity=1)
     assert [s.context.budget for s in plan.slabs] == [1500.0, 1500.0]
     assert plan.slabs[0].context.own_min_qty == 350.0
     assert plan.slabs[0].context.cross_min_qty == 250.0
@@ -296,7 +296,41 @@ def test_plan_for_market_pools_and_takes_the_strongest_motive(
     assert plan.acceptance_probs == (0.4, 0.4)
     assert plan.attention_span == 2
     with pytest.raises(InvalidParameterError):
-        plan_for_market([], stepped_offer1, stepped_offer2, 1)
+        pooled_consumer([])
+
+
+MOTIVES = st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=3)
+
+
+@st.composite
+def consumers(draw):
+    min1, min2 = draw(st.floats(1.0, 500.0)), draw(st.floats(1.0, 500.0))
+    return Consumer(
+        budget=draw(st.floats(1.0, 5000.0)),
+        motives1=tuple(draw(MOTIVES)),
+        motives2=tuple(draw(MOTIVES)),
+        min_qty1=min1,
+        min_qty2=min2,
+        max_qty1=min1 + draw(st.floats(1.0, 6000.0)),
+        max_qty2=min2 + draw(st.floats(1.0, 6000.0)),
+        attention_span=draw(st.integers(1, 4)),
+        acceptance_probs=tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))),
+    )
+
+
+THREE_RUNGS = Offer("c1", (Slab(0.3, 100.0), Slab(0.25, 200.0), Slab(0.2, 400.0)), "g")
+TWO_RUNGS = Offer("c2", (Slab(0.2, 100.0), Slab(0.19, 200.0)), "g")
+
+
+@given(market=st.lists(consumers(), min_size=1, max_size=4), commodity=st.sampled_from([1, 2]))
+def test_pooling_commutes_with_orientation(market, commodity):
+    pooled = pooled_consumer(market)
+    assert pooled.oriented(commodity) == pooled_consumer([c.oriented(commodity) for c in market])
+    own, other = own_and_cross(commodity, THREE_RUNGS, TWO_RUNGS)
+    single = market[0]
+    assert plan_for_consumer(pooled_consumer([single]), own, other, commodity) == plan_for_consumer(
+        single, own, other, commodity
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,41 +350,39 @@ def test_plan_for_market_pools_and_takes_the_strongest_motive(
 def test_bundled_plan_totals(name, total):
     scenario = parse_scenario(bundled_scenario_path(name))
     request = scenario.revenue
-    consumer = scenario.consumer_at(request.consumer)
-    own, other = (
-        (scenario.offer1, scenario.offer2)
-        if request.commodity == 1
-        else (scenario.offer2, scenario.offer1)
-    )
+    consumer = scenario.consumers[request.consumer]
+    own, other = own_and_cross(request.commodity, scenario.offer1, scenario.offer2)
     plan = plan_for_consumer(consumer, own, other, request.commodity)
     assert expected_revenue(plan).total == pytest.approx(total, rel=1e-12)
 
 
+def convex_plan(domain):
+    return plan_for_consumer(make_consumer(), domain.offer1, domain.offer2, commodity=1)
+
+
 def test_compare_domains_ranks_by_total(linear_offer1, linear_offer2, rung_offer2):
-    market = [make_consumer()]
     domains = [
         make_domain(linear_offer1, linear_offer2),
         make_domain(linear_offer1, rung_offer2),
     ]
-    comparison = compare_domains(domains, market)
+    comparison = compare_domains(domains, [convex_plan(d) for d in domains])
     totals = [entry.report.total for entry in comparison.ranked]
     assert totals == sorted(totals, reverse=True)
     assert {entry.label for entry in comparison.ranked} == {"convex", "mixed"}
 
 
 def test_compare_domains_keeps_input_order_on_ties(linear_offer1, linear_offer2):
-    market = [make_consumer()]
     dom = make_domain(linear_offer1, linear_offer2)
-    comparison = compare_domains([dom, dom], market, labels=["first", "second"])
+    plans = [convex_plan(dom)] * 2
+    comparison = compare_domains([dom, dom], plans, labels=["first", "second"])
     assert [e.label for e in comparison.ranked] == ["first", "second"]
 
 
 def test_compare_domains_validation(linear_offer1, linear_offer2):
-    market = [make_consumer()]
     dom = make_domain(linear_offer1, linear_offer2)
     with pytest.raises(InvalidParameterError):
-        compare_domains([dom], market)
+        compare_domains([dom], [convex_plan(dom)])
     with pytest.raises(InvalidParameterError):
-        compare_domains([dom, dom], market, plans=[ladder((10.0,), (0.5,))])
+        compare_domains([dom, dom], plans=[ladder((10.0,), (0.5,))])
     with pytest.raises(InvalidParameterError):
-        compare_domains([dom, dom], market, labels=["only-one"])
+        compare_domains([dom, dom], [convex_plan(dom)] * 2, labels=["only-one"])

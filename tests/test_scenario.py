@@ -11,12 +11,14 @@ from slabpricing import (
     DomainKind,
     FitMethod,
     SchemaError,
+    affordable,
     bundled_scenario_path,
     parse_scenario,
     scenario_from_dict,
     scenario_to_dict,
     serialize_scenario,
 )
+from slabpricing.scenario import MAX_GRID_POINTS, MAX_TRIALS
 
 
 def load_dict(name: str) -> dict:
@@ -62,8 +64,8 @@ def test_motive_ladder_scenario_contents():
         0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
     ]
     assert all(c.budget == 1000.0 for c in scenario.consumers)
-    assert scenario.feasible == (True,) * 9
-    assert scenario.consumer_at(4).motives1 == (0.5,)
+    assert all(affordable(c, scenario.offer1, scenario.offer2) for c in scenario.consumers)
+    assert scenario.consumers[4].motives1 == (0.5,)
 
     assert scenario.curves.price_start == 1.0
     assert scenario.curves.price_stop == 50.0
@@ -237,6 +239,21 @@ BAD_EDITS = [
         ("analysis.curves", {"price_start": 1, "price_stop": 1e300, "price_step": 1e-300}),
         "analysis.curves.price_step: price_step is too small",
     ),
+    (
+        "paper_convex",
+        ("analysis.curves.price_step", 1e-9),
+        "analysis.curves.price_step: price_step is too small: the grid would exceed 100000 points",
+    ),
+    (
+        "paper_convex",
+        ("analysis.response.points", 10**12),
+        "analysis.response.points: points must be at most 100000",
+    ),
+    (
+        "paper_convex",
+        ("analysis.simulation.trials", 10**9 + 1),
+        "analysis.simulation.trials: trials must be at most 1000000000",
+    ),
 ]
 
 
@@ -247,6 +264,20 @@ def test_schema_violations_carry_their_path(name, edit, fragment):
     with pytest.raises(SchemaError) as failure:
         scenario_from_dict(doc)
     assert fragment in str(failure.value)
+
+
+def test_caps_admit_their_limits():
+    """A request exactly at a cap parses; one past it is rejected (see
+    BAD_EDITS). Only the validators run: no grid is built."""
+    doc = load_dict("paper_convex")
+    doc["analysis"]["curves"].update(price_start=1, price_stop=MAX_GRID_POINTS, price_step=1)
+    doc["analysis"]["response"]["points"] = MAX_GRID_POINTS
+    doc["analysis"]["simulation"]["trials"] = MAX_TRIALS
+    scenario = scenario_from_dict(doc)
+    assert scenario.curves.n_points() == MAX_GRID_POINTS
+    doc["analysis"]["curves"]["price_stop"] = MAX_GRID_POINTS + 1
+    with pytest.raises(SchemaError, match="analysis.curves.price_step: price_step is too small"):
+        scenario_from_dict(doc)
 
 
 def test_missing_required_field():
