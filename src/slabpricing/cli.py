@@ -265,13 +265,22 @@ def emit_slab_study_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
     return write_csv(out / "slab_study.csv", header, rows, overwrite)
 
 
+def _supply_line(commodity: int, pairs: Sequence[tuple[float, float]], method: FitMethod) -> SupplyLine:
+    """The commodity's supply line; a fit that fails numerically names the
+    commodity's supply pairs."""
+    try:
+        return fit_supply_line(pairs, method)
+    except NumericalError as exc:
+        raise NumericalError(f"analysis.equilibrium.supply{commodity}: {exc}") from None
+
+
 def _solve_equilibria(
     scenario: Scenario,
 ) -> list[tuple[int, str, SupplyLine, EquilibriumPoint]]:
     request = _request(scenario, "equilibrium")
     results = []
     for commodity, pairs in ((1, request.supply1), (2, request.supply2)):
-        supply = fit_supply_line(pairs, request.method)
+        supply = _supply_line(commodity, pairs, request.method)
         for variant, baseline in (("constrained", None), ("unconstrained", request.baseline_min_qty)):
             ctx = _context_for(scenario, request.consumer, commodity, baseline)
             point = solve_equilibrium(lambda price: price_response(ctx, price).qty, supply, request.bracket)
@@ -314,7 +323,7 @@ def emit_supply_fit_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
     rows = []
     for commodity, pairs in ((1, request.supply1), (2, request.supply2)):
         for method in (FitMethod.TWO_POINT, FitMethod.LEAST_SQUARES):
-            line = fit_supply_line(pairs, method)
+            line = _supply_line(commodity, pairs, method)
             rows.append([commodity, method.value, line.slope, line.intercept])
     return write_csv(out / "supply_fit.csv", header, rows, overwrite)
 
@@ -380,10 +389,10 @@ def emit_reproduce_battery(out: Path, overwrite: bool, seed_flag: int | None) ->
 
     revenue_rows: list[list[Any]] = []
     mc_rows: list[list[Any]] = []
-    plans: dict[str, SlabPlan] = {}
+    reports: dict[str, RevenueReport] = {}
     for name, scenario in scenarios.items():
         report, _, mc_row = _monte_carlo(scenario, seed_flag)
-        plans[name] = report.plan
+        reports[name] = report
         revenue_rows.extend(_revenue_rows(name, report))
         mc_rows.append(mc_row)
     written.append(write_csv(out / "revenue_reports.csv", _REVENUE_HEADER, revenue_rows, overwrite))
@@ -392,7 +401,7 @@ def emit_reproduce_battery(out: Path, overwrite: bool, seed_flag: int | None) ->
     ranking_sources = ("paper_convex", "paper_mixed", "paper_nonconvex")
     comparison = compare_domains(
         [scenarios[name].domain for name in ranking_sources],
-        plans=[plans[name] for name in ranking_sources],
+        [reports[name] for name in ranking_sources],
         labels=list(ranking_sources),
     )
     rank_header = ["rank", "scenario", "domain_kind", "expected_revenue"]

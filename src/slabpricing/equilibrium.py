@@ -50,7 +50,8 @@ def fit_supply_line(
     """Fit the supply line from (price, qty) pairs.
 
     TWO_POINT passes the line through the first two pairs exactly;
-    LEAST_SQUARES minimizes squared price residuals over all pairs.
+    LEAST_SQUARES minimizes squared price residuals over all pairs, and
+    raises NumericalError when a squared deviation overflows.
     """
     pairs = tuple((float(p), float(q)) for p, q in pairs)
     if len(pairs) < 2:
@@ -67,7 +68,12 @@ def fit_supply_line(
         n = len(pairs)
         q_bar = sum(q for _, q in pairs) / n
         p_bar = sum(p for p, _ in pairs) / n
-        sqq = sum((q - q_bar) ** 2 for _, q in pairs)
+        try:
+            sqq = sum((q - q_bar) ** 2 for _, q in pairs)
+        except OverflowError:
+            raise NumericalError(
+                "least-squares fit overflows: quantities too far apart to square"
+            ) from None
         if sqq == 0.0:
             raise InvalidParameterError("least-squares fit needs distinct quantities")
         slope = sum((q - q_bar) * (p - p_bar) for p, q in pairs) / sqq

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, InvalidParameterError
+from .errors import InfeasibleError, InvalidParameterError, NumericalError
 
 # reference prices at which willingness to pay is conventionally quoted
 WTP_REFERENCE_PRICES: tuple[float, float] = (0.01, 0.001)
@@ -90,10 +90,14 @@ def response_slope(ctx: ResponseContext, p: float) -> float:
 
         x'(p) = motive * (cross_price * cross_min - m) / p**2
 
-    Negative whenever the budget exceeds the cross minimum's cost.
+    Negative whenever the budget exceeds the cross minimum's cost. A price
+    so small that p**2 underflows to 0 raises NumericalError.
     """
     _check_price(p)
-    return ctx.motive * (ctx.cross_price * ctx.cross_min_qty - ctx.budget) / (p * p)
+    p_squared = p * p
+    if p_squared == 0.0:
+        raise NumericalError(f"response slope at price {p:.6g} is not finite: p * p underflows to 0")
+    return ctx.motive * (ctx.cross_price * ctx.cross_min_qty - ctx.budget) / p_squared
 
 
 def hazard_rate(ctx: ResponseContext, p: float) -> float:

@@ -19,16 +19,12 @@ Results are independent of evaluation order via a deterministic tie-break
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .demand import Consumer, DomainSpec, Offer
 from .errors import InvalidParameterError
-from .price_response import ResponseContext, ResponsePoint, price_response
-
-# A per-slab demand evaluator: (0-based slab index, unit price) -> quantity.
-# May return a bare quantity or a ResponsePoint.
-DemandFn = Callable[[int, float], "float | ResponsePoint"]
+from .price_response import ResponseContext, price_response
 
 
 @dataclass(frozen=True)
@@ -123,38 +119,21 @@ def purchase_probability(acceptance_probs: Sequence[float], k: int) -> float:
     return reach * acceptance_probs[k - 1]
 
 
-def slab_demand_fn(plan: SlabPlan) -> DemandFn:
-    """Default per-slab evaluator: the response of each slab's own context."""
-
-    def evaluate(k: int, price: float) -> ResponsePoint:
-        return price_response(plan.slabs[k].context, price)
-
-    return evaluate
-
-
-def as_response_point(value: float | ResponsePoint) -> ResponsePoint:
-    """Normalize a demand evaluator's output to a clamped ResponsePoint."""
-    if isinstance(value, ResponsePoint):
-        return value
-    raw = float(value)
-    return ResponsePoint(qty=max(0.0, raw), infeasible=raw < 0, raw=raw)
-
-
-def expected_revenue(plan: SlabPlan, demand_fn: DemandFn | None = None) -> RevenueReport:
+def expected_revenue(plan: SlabPlan) -> RevenueReport:
     """Expected revenue of a plan, with a per-slab breakdown.
 
+    A slab's demand is the price response of its own context at its price.
     Every slab gets a report line; rungs beyond the attention span carry
     reach probability 0. When demand is infeasible (or zero) at every slab
     the report totals 0 and says so in the diagnostic.
     """
-    evaluate = slab_demand_fn(plan) if demand_fn is None else demand_fn
     lines = []
     total = 0.0
     reach = 1.0
     any_positive = False
     for k, slab in enumerate(plan.slabs, start=1):
         reachable = k <= plan.reachable_slabs
-        point = as_response_point(evaluate(k - 1, slab.price))
+        point = price_response(slab.context, slab.price)
         if point.qty > 0.0:
             any_positive = True
         lam = plan.acceptance_probs[k - 1]
@@ -196,26 +175,20 @@ def best_of(entries: Iterable[Evaluated]) -> Evaluated:
     return min(entries, key=_preference)
 
 
-def optimize_slab_structure(
-    candidate_plans: Iterable[SlabPlan],
-    demand_fn: DemandFn | None = None,
-) -> Evaluated:
+def optimize_slab_structure(candidate_plans: Iterable[SlabPlan]) -> Evaluated:
     """Exhaustively evaluate candidates and return the revenue maximizer.
 
     Ties break to fewer slabs, then to the lower first-slab price, so the
     winner does not depend on candidate order.
     """
-    return best_of(best_by_slab_count(candidate_plans, demand_fn).values())
+    return best_of(best_by_slab_count(candidate_plans).values())
 
 
-def best_by_slab_count(
-    candidate_plans: Iterable[SlabPlan],
-    demand_fn: DemandFn | None = None,
-) -> dict[int, Evaluated]:
+def best_by_slab_count(candidate_plans: Iterable[SlabPlan]) -> dict[int, Evaluated]:
     """Revenue maximizer among candidates of each slab count."""
     winners: dict[int, Evaluated] = {}
     for plan in candidate_plans:
-        entry = (plan, expected_revenue(plan, demand_fn))
+        entry = (plan, expected_revenue(plan))
         held = winners.get(plan.n_slabs)
         if held is None or _preference(entry) < _preference(held):
             winners[plan.n_slabs] = entry
@@ -315,25 +288,25 @@ class DomainComparison:
 
 def compare_domains(
     domains: Sequence[DomainSpec],
-    plans: Sequence[SlabPlan],
+    reports: Sequence[RevenueReport],
     labels: Sequence[str] | None = None,
 ) -> DomainComparison:
-    """Rank domains by the expected revenue of each one's plan.
+    """Rank domains by the total of each one's revenue report.
 
-    One plan per domain; labels default to the domain kinds. Equal totals
-    keep input order.
+    One already computed report per domain; nothing is re-evaluated.
+    Labels default to the domain kinds. Equal totals keep input order.
     """
     if len(domains) < 2:
         raise InvalidParameterError("need at least two domains to compare")
-    if len(plans) != len(domains):
-        raise InvalidParameterError("need exactly one plan per domain")
+    if len(reports) != len(domains):
+        raise InvalidParameterError("need exactly one report per domain")
     if labels is None:
         labels = [d.kind.value for d in domains]
     if len(labels) != len(domains):
         raise InvalidParameterError("need exactly one label per domain")
     entries = [
-        DomainRevenue(label=label, domain=domain, report=expected_revenue(plan))
-        for label, domain, plan in zip(labels, domains, plans)
+        DomainRevenue(label=label, domain=domain, report=report)
+        for label, domain, report in zip(labels, domains, reports)
     ]
     order = sorted(range(len(entries)), key=lambda i: (-entries[i].report.total, i))
     return DomainComparison(ranked=tuple(entries[i] for i in order))

@@ -25,10 +25,12 @@ from .errors import PricingError, SchemaError
 
 SCENARIO_VERSION = 1
 
-# the largest curve or response grid and trial count a scenario may request;
-# larger values are schema errors, not out-of-memory or hour-long runs
+# the largest curve or response grid, trial count and optimizer search (slab
+# rungs over all candidate ladders) a scenario may request; larger values are
+# schema errors, not out-of-memory or hour-long runs
 MAX_GRID_POINTS = 100_000
 MAX_TRIALS = 10**9
+MAX_LADDER_RUNGS = 1_000_000
 
 BUNDLED_SCENARIOS = (
     "paper_convex",
@@ -411,6 +413,12 @@ def _parse_optimizer(node: Any, path: str, n_consumers: int) -> OptimizerRequest
     max_v = _expect_int(max_slabs, max_path)
     if max_v < 1:
         raise SchemaError("max_slabs must be at least 1", max_path)
+    if len(prices_v) * max_v * (max_v + 1) // 2 > MAX_LADDER_RUNGS:
+        raise SchemaError(
+            f"max_slabs is too large: {len(prices_v)} base prices would search "
+            f"more than {MAX_LADDER_RUNGS} ladder rungs",
+            max_path,
+        )
     discount_v = _expect_number(discount, discount_path)
     if not 0.0 < discount_v < 1.0:
         raise SchemaError("discount must be strictly between 0 and 1", discount_path)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
-from .revenue import DemandFn, SlabPlan, as_response_point, slab_demand_fn
+from .revenue import SlabPlan, expected_revenue
 
 _BATCH_TRIALS = 65536
 
@@ -33,14 +33,13 @@ _BATCH_TRIALS = 65536
 class SimConfig:
     """A reproducible simulation request.
 
-    Identical configs produce bit-identical estimates. demand_fn must be
-    deterministic per slab; it is evaluated once per slab, not per trial.
+    Identical configs produce bit-identical estimates. Slab revenues come
+    from the plan's own slab contexts, once per slab, not per trial.
     """
 
     trials: int
     seed: int
     plan: SlabPlan
-    demand_fn: DemandFn | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -60,18 +59,14 @@ class MCEstimate:
     trials: int
 
 
-def _slab_revenues(plan: SlabPlan, demand_fn: DemandFn | None) -> list[float]:
-    evaluate = slab_demand_fn(plan) if demand_fn is None else demand_fn
-    return [
-        as_response_point(evaluate(k, slab.price)).qty * slab.price
-        for k, slab in enumerate(plan.slabs)
-    ]
+def _slab_revenues(plan: SlabPlan) -> list[float]:
+    """Demand times price at each slab, as the revenue report states them."""
+    return [line.demand * line.price for line in expected_revenue(plan).per_slab]
 
 
 def simulate_consumer(
     plan: SlabPlan,
     random_draws: np.random.Generator | Iterable[float],
-    demand_fn: DemandFn | None = None,
 ) -> tuple[int | None, float]:
     """One walk down the slabs. Returns (1-based slab bought, revenue).
 
@@ -83,7 +78,7 @@ def simulate_consumer(
         source: Iterator[float] = iter(lambda: float(random_draws.random()), None)
     else:
         source = iter(random_draws)
-    revenues = _slab_revenues(plan, demand_fn)
+    revenues = _slab_revenues(plan)
     for k in range(plan.reachable_slabs):
         if next(source) < plan.acceptance_probs[k]:
             return k + 1, revenues[k]
@@ -104,7 +99,7 @@ def estimate_expected_revenue_mc(config: SimConfig) -> MCEstimate:
     plan = config.plan
     k_eff = plan.reachable_slabs
     lambdas = np.asarray(plan.acceptance_probs[:k_eff], dtype=np.float64)
-    slab_revenues = _slab_revenues(plan, config.demand_fn)[:k_eff]
+    slab_revenues = _slab_revenues(plan)[:k_eff]
     for k, revenue in enumerate(slab_revenues, start=1):
         if not math.isfinite(revenue):
             raise NumericalError(f"slab {k} revenue is non-finite: {revenue}")

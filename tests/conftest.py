@@ -40,6 +40,19 @@ def make_consumer(
     )
 
 
+def fixed_context(qty: float) -> ResponseContext:
+    """A context whose demand is qty at any price. With motive 0 the
+    response is exactly the own minimum; qty <= 0 starves a motive-1
+    context (budget below the cross minimum's cost), which clamps to 0."""
+    if qty > 0:
+        return ResponseContext(
+            motive=0.0, budget=1000.0, cross_price=0.19, own_min_qty=qty, cross_min_qty=200.0
+        )
+    return ResponseContext(
+        motive=1.0, budget=10.0, cross_price=0.19, own_min_qty=200.0, cross_min_qty=200.0
+    )
+
+
 @pytest.fixture
 def linear_offer1() -> Offer:
     return Offer("c1", (Slab(0.175, 200.0),), "g")

@@ -8,10 +8,11 @@ them on success):
 Every tolerance is pinned in the assertion that enforces it. The battery
 fixture runs the full `reproduce` command once; criteria that score emitted
 artifacts read from it, criteria with their own runtime budget time their
-own work.
+own work. A last test pins the sha256 of every battery file.
 """
 
 import csv
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -57,6 +58,20 @@ BATTERY_FILES = (
     "slab_study.csv",
     "supply_fit.csv",
 )
+
+# sha256 of each battery file, frozen from the commit that first wrote the
+# battery in this form; any change to a battery byte must update these
+BATTERY_SHA256 = {
+    "demand_x1.csv": "86001b73c54b9a0a7c465e8277f850e4f0c82a739351073b5d25d2e988dd0ab3",
+    "demand_x2.csv": "1f84304ebfc257c0155f26f3c05f682497a6c12a5f2e547ded1a4ab5ce72fb0e",
+    "domain_ranking.csv": "da221b3dcdec446c90db5b550faffd76883d007643eb9dcf9989a88b95199977",
+    "equilibrium.csv": "2021e88e22052ac85912c4e7d3bc52cf228f489794aa690770905543fef96fba",
+    "mc_validation.csv": "3dcb67167500c185d96e709d461eff6cc9a9ce38cfa690abfcdeaf4130e0168e",
+    "response.csv": "198e1577a12ad0bcaec436dac6ee05f46c56efcfbfe8f5bcd343ee9ad8a2fbf4",
+    "revenue_reports.csv": "1eb956d8e9fbbda10c5eb66db933683897e3377c8776a83eb9e26fffb1a5a4de",
+    "slab_study.csv": "1cc22de60de8df244383eef060488e70cd5d474d05ae48f4c03c07cd4d34f28b",
+    "supply_fit.csv": "5b02bdbdde7ae5d6c9e0a9ac477077d84fe9f0810a252e04e588fbef1a609c72",
+}
 
 
 def _verdict(number: int, label: str, failures: list[str], elapsed: float) -> None:
@@ -364,3 +379,9 @@ def test_criterion_8_byte_identical_reruns(battery, tmp_path):
         failures.append(f"suite has been running {suite_elapsed:.1f}s, budget 120s")
     print(f"[suite] {suite_elapsed:.1f}s elapsed since collection", flush=True)
     _verdict(8, "byte-identical reruns", failures, elapsed)
+
+
+def test_battery_bytes_are_frozen(battery):
+    assert sorted(BATTERY_SHA256) == list(BATTERY_FILES)
+    digests = {name: hashlib.sha256((battery / name).read_bytes()).hexdigest() for name in BATTERY_FILES}
+    assert digests == BATTERY_SHA256

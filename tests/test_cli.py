@@ -107,6 +107,33 @@ def test_non_finite_output_exits_5(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_tiny_response_price_exits_5(tmp_path, capsys):
+    # p * p underflows to 0 below about 1e-162, so the slope has no value
+    def tiny_start(doc):
+        doc["analysis"]["response"]["price_start"] = 1e-200
+
+    path = mutated_scenario(tmp_path, "paper_convex", tiny_start)
+    out = tmp_path / "out"
+    assert run(["--scenario", path, "--out", str(out), "respond"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[numerical]: response slope at price 1e-200 is not finite")
+    assert not out.exists()
+
+
+def test_overflowing_supply_fit_exits_5(tmp_path, capsys):
+    # the least-squares deviation of a 1e200 quantity cannot be squared;
+    # supply_fit.csv fits with both methods whatever the request's method
+    def huge_quantity(doc):
+        doc["analysis"]["equilibrium"]["supply1"][2][1] = 1e200
+
+    path = mutated_scenario(tmp_path, "paper_convex", huge_quantity)
+    out = tmp_path / "out"
+    assert run(["--scenario", path, "--out", str(out), "equilibrium"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[numerical]: analysis.equilibrium.supply1: least-squares fit overflows")
+    assert not out.exists()
+
+
 def test_starved_consumer_exits_4(tmp_path, capsys):
     # cross minimum alone exceeds the budget, so demand is 0 on the whole
     # grid and the hazard rate is undefined

@@ -80,6 +80,13 @@ def test_least_squares_matches_the_normal_equations():
     assert line.intercept == p_bar - slope * q_bar
 
 
+def test_least_squares_overflow_is_numerical():
+    pairs = ((35.0, 200.0), (70.0, 400.0), (105.0, 1e200))
+    assert fit_supply_line(pairs).slope == 0.175  # the two-point fit never squares
+    with pytest.raises(NumericalError, match="least-squares fit overflows"):
+        fit_supply_line(pairs, FitMethod.LEAST_SQUARES)
+
+
 def test_fit_validation():
     with pytest.raises(InvalidParameterError):
         fit_supply_line(((35.0, 200.0),))

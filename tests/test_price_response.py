@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from slabpricing import (
     InfeasibleError,
     InvalidParameterError,
+    NumericalError,
     ResponseContext,
     WTP_REFERENCE_PRICES,
     arc_elasticity,
@@ -70,6 +71,13 @@ def test_response_clamps_when_cross_minimum_eats_the_budget():
 def test_slope_frozen_value():
     # x'(p) = 0.5 * (0.19 * 200 - 1000) / p**2 = -481 / p**2
     assert response_slope(ctx_for(), 0.175) == -15706.122448979593
+
+
+def test_slope_refuses_a_price_whose_square_underflows():
+    # 1e-150 squared is still a non-zero float; 1e-200 squared is 0
+    assert response_slope(ctx_for(), 1e-150) == -481 / (1e-150 * 1e-150)
+    with pytest.raises(NumericalError, match="at price 1e-200 is not finite"):
+        response_slope(ctx_for(), 1e-200)
 
 
 def test_hazard_and_elasticity_frozen_values():

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_consumer
+from conftest import fixed_context, make_consumer
 from slabpricing import (
     Consumer,
     InvalidParameterError,
     Offer,
     PlanSlab,
     ResponseContext,
-    ResponsePoint,
     Slab,
     SlabPlan,
-    as_response_point,
     best_by_slab_count,
     bundled_scenario_path,
     compare_domains,
@@ -44,8 +42,15 @@ def ladder(prices, lambdas, span=2):
     )
 
 
-def fixed_demands(*quantities):
-    return lambda k, price: quantities[k]
+def fixed_ladder(prices, lambdas, demands, span=2):
+    """A ladder whose slab k demands demands[k] at any price."""
+    return SlabPlan(
+        slabs=tuple(
+            PlanSlab(price=p, context=fixed_context(q)) for p, q in zip(prices, demands)
+        ),
+        acceptance_probs=tuple(lambdas),
+        attention_span=span,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +95,8 @@ def test_buy_probabilities_complement_the_all_reject_path(lams):
 
 
 def test_expected_revenue_fixed_demand_breakdown():
-    plan = ladder((10.0, 9.5, 9.0), (0.5, 0.4, 0.3), span=2)
-    report = expected_revenue(plan, fixed_demands(50.0, 40.0, 30.0))
+    plan = fixed_ladder((10.0, 9.5, 9.0), (0.5, 0.4, 0.3), (50.0, 40.0, 30.0), span=2)
+    report = expected_revenue(plan)
     assert report.total == 326.0
     assert [line.reach_prob for line in report.per_slab] == [1.0, 0.5, 0.0]
     assert [line.demand for line in report.per_slab] == [50.0, 40.0, 30.0]
@@ -110,8 +115,8 @@ def test_default_demand_fn_is_the_context_response():
 
 
 def test_dead_plan_reports_a_diagnostic():
-    plan = ladder((10.0, 9.0), (0.5, 0.5))
-    report = expected_revenue(plan, fixed_demands(0.0, -5.0))
+    plan = fixed_ladder((10.0, 9.0), (0.5, 0.5), (0.0, -5.0))
+    report = expected_revenue(plan)
     assert report.total == 0.0
     assert report.diagnostic == "zero or infeasible demand at every slab"
     assert report.per_slab[1].demand == 0.0  # clamped
@@ -120,9 +125,9 @@ def test_dead_plan_reports_a_diagnostic():
 def test_revenue_monotone_in_attention_span():
     prices = (10.0, 9.5, 9.0, 8.5)
     lams = (0.3, 0.3, 0.3, 0.3)
-    demands = fixed_demands(50.0, 40.0, 30.0, 20.0)
+    demands = (50.0, 40.0, 30.0, 20.0)
     totals = [
-        expected_revenue(ladder(prices, lams, span=s), demands).total
+        expected_revenue(fixed_ladder(prices, lams, demands, span=s)).total
         for s in (1, 2, 3, 4, 5)
     ]
     assert all(a <= b for a, b in zip(totals, totals[1:]))
@@ -132,12 +137,12 @@ def test_revenue_monotone_in_attention_span():
 @given(t=st.floats(0.0, 1.0), slot=st.integers(0, 2))
 def test_revenue_is_affine_in_each_acceptance_probability(t, slot):
     prices = (10.0, 9.5, 9.0)
-    demands = fixed_demands(50.0, 40.0, 30.0)
+    demands = (50.0, 40.0, 30.0)
 
     def total(lam):
         lams = [0.4, 0.4, 0.4]
         lams[slot] = lam
-        return expected_revenue(ladder(prices, lams, span=3), demands).total
+        return expected_revenue(fixed_ladder(prices, lams, demands, span=3)).total
 
     interpolated = (1.0 - t) * total(0.0) + t * total(1.0)
     assert total(t) == pytest.approx(interpolated, rel=1e-12, abs=1e-12)
@@ -156,53 +161,45 @@ def test_plan_validation():
         PlanSlab(price=0.0, context=CTX)
 
 
-def test_as_response_point_coercion():
-    point = as_response_point(7.0)
-    assert point == ResponsePoint(qty=7.0, infeasible=False, raw=7.0)
-    clamped = as_response_point(-3.0)
-    assert clamped.qty == 0.0 and clamped.infeasible and clamped.raw == -3.0
-    passthrough = ResponsePoint(qty=1.0, infeasible=False, raw=1.0)
-    assert as_response_point(passthrough) is passthrough
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
 
 def test_optimizer_picks_the_exhaustive_maximum():
+    demands = (50.0, 40.0)
     plans = [
-        ladder((10.0,), (0.5,)),
-        ladder((10.0, 9.5), (0.5, 0.5)),
-        ladder((12.0, 11.4), (0.5, 0.5)),
+        fixed_ladder((10.0,), (0.5,), demands),
+        fixed_ladder((10.0, 9.5), (0.5, 0.5), demands),
+        fixed_ladder((12.0, 11.4), (0.5, 0.5), demands),
     ]
-    demands = fixed_demands(50.0, 40.0)
-    best_plan, best_report = optimize_slab_structure(plans, demands)
-    totals = [expected_revenue(p, demands).total for p in plans]
+    best_plan, best_report = optimize_slab_structure(plans)
+    totals = [expected_revenue(p).total for p in plans]
     assert best_report.total == max(totals)
     assert best_plan is plans[totals.index(max(totals))]
 
 
 def test_optimizer_tie_breaks_by_count_then_first_price():
     # all-zero acceptance makes every total 0, forcing the tie-break
+    demands = (50.0, 40.0)
     dead = [
-        ladder((10.0, 9.5), (0.0, 0.0)),
-        ladder((12.0,), (0.0,)),
-        ladder((8.0,), (0.0,)),
+        fixed_ladder((10.0, 9.5), (0.0, 0.0), demands),
+        fixed_ladder((12.0,), (0.0,), demands),
+        fixed_ladder((8.0,), (0.0,), demands),
     ]
-    best_plan, best_report = optimize_slab_structure(dead, fixed_demands(50.0, 40.0))
+    best_plan, best_report = optimize_slab_structure(dead)
     assert best_report.total == 0.0
     assert best_plan.n_slabs == 1
     assert best_plan.slabs[0].price == 8.0
 
 
 def test_optimizer_single_candidate_and_empty_input():
-    only = ladder((10.0,), (0.5,))
-    plan, report = optimize_slab_structure([only], fixed_demands(50.0))
+    only = fixed_ladder((10.0,), (0.5,), (50.0,))
+    plan, report = optimize_slab_structure([only])
     assert plan is only
     with pytest.raises(InvalidParameterError):
-        optimize_slab_structure([], fixed_demands(50.0))
+        optimize_slab_structure([])
     with pytest.raises(InvalidParameterError):
-        best_by_slab_count([], fixed_demands(50.0))
+        best_by_slab_count([])
 
 
 def test_discount_ladder_family_shape():
@@ -365,7 +362,7 @@ def test_compare_domains_ranks_by_total(linear_offer1, linear_offer2, rung_offer
         make_domain(linear_offer1, linear_offer2),
         make_domain(linear_offer1, rung_offer2),
     ]
-    comparison = compare_domains(domains, [convex_plan(d) for d in domains])
+    comparison = compare_domains(domains, [expected_revenue(convex_plan(d)) for d in domains])
     totals = [entry.report.total for entry in comparison.ranked]
     assert totals == sorted(totals, reverse=True)
     assert {entry.label for entry in comparison.ranked} == {"convex", "mixed"}
@@ -373,16 +370,17 @@ def test_compare_domains_ranks_by_total(linear_offer1, linear_offer2, rung_offer
 
 def test_compare_domains_keeps_input_order_on_ties(linear_offer1, linear_offer2):
     dom = make_domain(linear_offer1, linear_offer2)
-    plans = [convex_plan(dom)] * 2
-    comparison = compare_domains([dom, dom], plans, labels=["first", "second"])
+    reports = [expected_revenue(convex_plan(dom))] * 2
+    comparison = compare_domains([dom, dom], reports, labels=["first", "second"])
     assert [e.label for e in comparison.ranked] == ["first", "second"]
 
 
 def test_compare_domains_validation(linear_offer1, linear_offer2):
     dom = make_domain(linear_offer1, linear_offer2)
+    report = expected_revenue(convex_plan(dom))
     with pytest.raises(InvalidParameterError):
-        compare_domains([dom], [convex_plan(dom)])
+        compare_domains([dom], [report])
     with pytest.raises(InvalidParameterError):
-        compare_domains([dom, dom], plans=[ladder((10.0,), (0.5,))])
+        compare_domains([dom, dom], reports=[expected_revenue(ladder((10.0,), (0.5,)))])
     with pytest.raises(InvalidParameterError):
-        compare_domains([dom, dom], [convex_plan(dom)] * 2, labels=["only-one"])
+        compare_domains([dom, dom], [report] * 2, labels=["only-one"])

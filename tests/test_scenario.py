@@ -18,7 +18,7 @@ from slabpricing import (
     scenario_to_dict,
     serialize_scenario,
 )
-from slabpricing.scenario import MAX_GRID_POINTS, MAX_TRIALS
+from slabpricing.scenario import MAX_GRID_POINTS, MAX_LADDER_RUNGS, MAX_TRIALS
 
 
 def load_dict(name: str) -> dict:
@@ -277,6 +277,24 @@ def test_caps_admit_their_limits():
     assert scenario.curves.n_points() == MAX_GRID_POINTS
     doc["analysis"]["curves"]["price_stop"] = MAX_GRID_POINTS + 1
     with pytest.raises(SchemaError, match="analysis.curves.price_step: price_step is too small"):
+        scenario_from_dict(doc)
+
+
+def test_ladder_cap_admits_its_limit():
+    """The largest max_slabs whose search fits MAX_LADDER_RUNGS parses and
+    the next is rejected; 1000 base prices admit at least the 16 slabs the
+    ladder benchmark searches. Only the validator runs: no plan is built."""
+    doc = load_dict("slab_study")
+    optimizer = doc["analysis"]["optimizer"]
+    optimizer["base_prices"] = [10.0] * 1000
+    limit = 1
+    while 1000 * (limit + 1) * (limit + 2) // 2 <= MAX_LADDER_RUNGS:
+        limit += 1
+    assert limit >= 16
+    optimizer["max_slabs"] = limit
+    assert scenario_from_dict(doc).optimizer.max_slabs == limit
+    optimizer["max_slabs"] = limit + 1
+    with pytest.raises(SchemaError, match="analysis.optimizer.max_slabs: max_slabs is too large"):
         scenario_from_dict(doc)
 
 

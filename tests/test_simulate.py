@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fixed_context
 from slabpricing import (
     InvalidParameterError,
     MCEstimate,
@@ -30,6 +31,19 @@ def ladder(prices, lambdas, span=2):
         acceptance_probs=tuple(lambdas),
         attention_span=span,
     )
+
+
+def with_contexts(plan, *contexts):
+    """The plan with slab k priced as before but demanding through contexts[k]."""
+    slabs = tuple(PlanSlab(price=s.price, context=c) for s, c in zip(plan.slabs, contexts))
+    return SlabPlan(slabs, plan.acceptance_probs, plan.attention_span)
+
+
+# budget / price overflows to inf below price 1; above it the huge own
+# minimum makes demand times price overflow
+OVERFLOWING = ResponseContext(
+    motive=0.5, budget=1e308, cross_price=0.19, own_min_qty=1e308, cross_min_qty=200.0
+)
 
 SURE_PLAN = ladder((0.175,), (1.0,), span=1)
 HALF_PLAN = ladder((0.175, 0.17), (0.5, 0.5), span=2)
@@ -112,21 +126,24 @@ def test_single_trial_has_no_spread():
 
 
 def test_non_finite_slab_revenue_is_refused():
-    def overflowing(k, price):
-        return math.inf if k == 1 else 100.0
+    def overflowing(plan):
+        return with_contexts(plan, fixed_context(100.0), OVERFLOWING, fixed_context(100.0))
 
     with pytest.raises(NumericalError, match="slab 2 revenue is non-finite"):
-        estimate_expected_revenue_mc(SimConfig(100, 1, HALF_PLAN, demand_fn=overflowing))
+        estimate_expected_revenue_mc(SimConfig(100, 1, overflowing(HALF_PLAN)))
     # a rung past the attention span is never visited, so it may not count
-    wide = ladder((10.0, 9.5, 9.0), (0.5, 0.5, 0.5), span=1)
-    estimate = estimate_expected_revenue_mc(SimConfig(100, 1, wide, demand_fn=overflowing))
+    wide = overflowing(ladder((10.0, 9.5, 9.0), (0.5, 0.5, 0.5), span=1))
+    second = expected_revenue(wide).per_slab[1]
+    assert math.isinf(second.demand * second.price)
+    estimate = estimate_expected_revenue_mc(SimConfig(100, 1, wide))
     assert estimate.slab_counts[1:] == (0, 0)
 
 
 def test_overflowing_spread_is_refused():
     # finite revenues whose squares overflow: the spread cannot be formed
     with pytest.raises(NumericalError, match="standard error overflows"):
-        estimate_expected_revenue_mc(SimConfig(100, 1, HALF_PLAN, demand_fn=lambda k, p: 1e200))
+        huge = with_contexts(HALF_PLAN, fixed_context(1e200), fixed_context(1e200))
+        estimate_expected_revenue_mc(SimConfig(100, 1, huge))
 
 
 def test_config_validation():
