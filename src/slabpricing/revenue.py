@@ -124,7 +124,8 @@ def expected_revenue(plan: SlabPlan) -> RevenueReport:
 
     A slab's demand is the price response of its own context at its price.
     Every slab gets a report line; rungs beyond the attention span carry
-    reach probability 0. When demand is infeasible (or zero) at every slab
+    reach probability 0 and contribute exactly 0, even where their demand is
+    not finite, since no walk reaches them. When demand is infeasible (or zero) at every slab
     the report totals 0 and says so in the diagnostic.
     """
     lines = []
@@ -138,7 +139,7 @@ def expected_revenue(plan: SlabPlan) -> RevenueReport:
             any_positive = True
         lam = plan.acceptance_probs[k - 1]
         reach_k = reach if reachable else 0.0
-        contribution = reach_k * lam * point.qty * slab.price
+        contribution = reach_k * lam * point.qty * slab.price if reachable else 0.0
         lines.append(
             SlabContribution(
                 index=k,

@@ -3,25 +3,34 @@
 A scenario pins two offers, a consumer population, and optional analysis
 requests (curve grids, a response grid, revenue/optimizer/equilibrium/
 simulation settings). Files use the extension ``.scn`` and plain JSON.
-Validation is strict: unknown fields are rejected, every error names the
-field path that caused it, and all offer/consumer invariants are enforced
-at load time. Parsing, serializing, and re-parsing yields an equivalent
-scenario.
+
+Each kind of object is described once, as a table of rows in document
+order; one function reads any object from its rows and ``scenario_to_dict``
+writes it back from the same rows. Validation is strict and runs in three
+phases per object: every required key is looked up in row order, then
+unknown keys are refused (the alphabetically first is named), then each
+value is read and checked in row order, a nested object in full before the
+next row. The checks that compare fields (a curve grid's stop against its
+start and the grid cap, a response grid's bounds, the optimizer search cap)
+run last. Every error is one SchemaError naming the one JSON path at fault.
+Parsing, serializing, and re-parsing yields an equivalent scenario.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
+from collections import ChainMap
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .demand import Consumer, DomainSpec, Offer, Slab, make_domain
 from .equilibrium import FitMethod
-from .errors import PricingError, SchemaError
+from .errors import InvalidParameterError, SchemaError
 
 SCENARIO_VERSION = 1
 
@@ -49,13 +58,8 @@ def bundled_scenario_path(name: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# strict node readers
-
-
-def _expect_mapping(node: Any, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise SchemaError(f"expected an object, got {type(node).__name__}", path)
-    return node
+# strict node readers; a field reader's scope (see the field tables) is
+# unused at the leaves
 
 
 def _expect_list(node: Any, path: str) -> list:
@@ -64,7 +68,7 @@ def _expect_list(node: Any, path: str) -> list:
     return node
 
 
-def _expect_number(node: Any, path: str) -> float:
+def _number(node: Any, path: str, scope: object = None) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise SchemaError(f"expected a number, got {type(node).__name__}", path)
     # JSON integers are unbounded and json.loads accepts Infinity and NaN
@@ -77,63 +81,40 @@ def _expect_number(node: Any, path: str) -> float:
     return value
 
 
-def _expect_int(node: Any, path: str) -> int:
+def _integer(node: Any, path: str, scope: object = None) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         raise SchemaError(f"expected an integer, got {type(node).__name__}", path)
     return node
 
 
-def _expect_str(node: Any, path: str) -> str:
+def _string(node: Any, path: str, scope: object = None) -> str:
     if not isinstance(node, str):
         raise SchemaError(f"expected a string, got {type(node).__name__}", path)
     return node
 
 
-class _Fields:
-    """Tracks which keys of one object were consumed; rejects leftovers."""
-
-    def __init__(self, node: Any, path: str) -> None:
-        self.mapping = _expect_mapping(node, path)
-        self.path = path
-        self.seen: set[str] = set()
-
-    def _join(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
-    def require(self, key: str) -> tuple[Any, str]:
-        if key not in self.mapping:
-            raise SchemaError("required field missing", self._join(key))
-        self.seen.add(key)
-        return self.mapping[key], self._join(key)
-
-    def optional(self, key: str) -> tuple[Any, str] | None:
-        if key not in self.mapping:
-            return None
-        self.seen.add(key)
-        return self.mapping[key], self._join(key)
-
-    def finish(self) -> None:
-        unknown = sorted(set(self.mapping) - self.seen)
-        if unknown:
-            raise SchemaError("unknown field", self._join(unknown[0]))
+def _numbers(node: Any, path: str, scope: object = None) -> tuple[float, ...]:
+    return tuple(_number(item, f"{path}[{i}]") for i, item in enumerate(_expect_list(node, path)))
 
 
-def _number_list(node: Any, path: str) -> tuple[float, ...]:
-    return tuple(
-        _expect_number(item, f"{path}[{i}]") for i, item in enumerate(_expect_list(node, path))
-    )
-
-
-def _pair_list(node: Any, path: str) -> tuple[tuple[float, float], ...]:
+def _pairs(node: Any, path: str, scope: object = None) -> tuple[tuple[float, float], ...]:
     pairs = []
     for i, item in enumerate(_expect_list(node, path)):
         row = _expect_list(item, f"{path}[{i}]")
         if len(row) != 2:
-            raise SchemaError(f"expected a [price, qty] pair, got {len(row)} entries", f"{path}[{i}]")
-        pairs.append(
-            (_expect_number(row[0], f"{path}[{i}][0]"), _expect_number(row[1], f"{path}[{i}][1]"))
-        )
+            raise SchemaError(
+                f"expected a [price, qty] pair, got {len(row)} entries", f"{path}[{i}]"
+            )
+        pairs.append((_number(row[0], f"{path}[{i}][0]"), _number(row[1], f"{path}[{i}][1]")))
     return tuple(pairs)
+
+
+def _method(node: Any, path: str, scope: object = None) -> FitMethod:
+    try:
+        return FitMethod(_string(node, path))
+    except ValueError:
+        choices = ", ".join(m.value for m in FitMethod)
+        raise SchemaError(f"method must be one of: {choices}", path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -226,336 +207,296 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# field tables
+#
+# A row names a JSON key, the reader that turns its node into a value, the
+# checks on that value, the default of an optional key (_REQUIRED when there
+# is none) and the attribute that holds the value when it is not named like
+# the key. Readers take (node, path, scope) and checks (value, scope); scope
+# maps every field read so far in this object and the objects around it, so a
+# consumer's checks see the offers. A check returns an error message or None.
+
+_Reader = Callable[[Any, str, Mapping[str, Any]], Any]
+_Check = Callable[[Any, Mapping[str, Any]], "str | None"]
+_CrossCheck = Callable[[Any, str], None]
+
+_REQUIRED = object()
 
 
-def _parse_slab(node: Any, path: str) -> Slab:
-    fields = _Fields(node, path)
-    price, p_path = fields.require("unit_price")
-    qty, q_path = fields.require("min_qty")
-    fields.finish()
-    price_v = _expect_number(price, p_path)
-    qty_v = _expect_number(qty, q_path)
+class _Row(NamedTuple):
+    key: str
+    read: _Reader
+    checks: tuple[_Check, ...] = ()
+    default: Any = _REQUIRED
+    attr: str = ""
+
+
+class _Object:
+    """One object kind: build(**fields) makes it from its rows' values, and
+    check(obj, path), when given, runs the checks that compare fields."""
+
+    def __init__(self, build: Callable[..., Any], *rows: _Row, check: _CrossCheck | None = None):
+        self.build = build
+        self.rows = rows
+        self.check = check
+        self.keys = frozenset(row.key for row in rows)
+        self.required = tuple(row.key for row in rows if row.default is _REQUIRED)
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _read_object(kind: _Object, node: Any, path: str, scope: Mapping[str, Any]) -> Any:
+    """Read one object from its rows in the three phases the module
+    docstring lists, then build it and run its cross-field checks."""
+    if not isinstance(node, dict):
+        raise SchemaError(f"expected an object, got {type(node).__name__}", path)
+    for key in kind.required:
+        if key not in node:
+            raise SchemaError("required field missing", _join(path, key))
+    unknown = sorted(node.keys() - kind.keys)
+    if unknown:
+        raise SchemaError("unknown field", _join(path, unknown[0]))
+    values: dict[str, Any] = {}
+    scope = ChainMap(values, scope)
+    for key, read, checks, default, attr in kind.rows:
+        if key not in node:
+            values[attr or key] = default
+            continue
+        field_path = _join(path, key)
+        value = read(node[key], field_path, scope)
+        for check in checks:
+            message = check(value, scope)
+            if message is not None:
+                raise SchemaError(message, field_path)
+        values[attr or key] = value
     try:
-        return Slab(unit_price=price_v, min_qty=qty_v)
-    except PricingError as exc:
+        built = kind.build(**values)
+    except InvalidParameterError as exc:
         raise SchemaError(str(exc), path) from exc
+    if kind.check is not None:
+        kind.check(built, path)
+    return built
 
 
-def _parse_offer(node: Any, path: str) -> Offer:
-    fields = _Fields(node, path)
-    ident, id_path = fields.require("id")
-    unit, unit_path = fields.require("unit")
-    slabs_node, slabs_path = fields.require("slabs")
-    fields.finish()
-    slabs = tuple(
-        _parse_slab(item, f"{slabs_path}[{i}]")
-        for i, item in enumerate(_expect_list(slabs_node, slabs_path))
-    )
-    try:
-        return Offer(
-            commodity_id=_expect_str(ident, id_path),
-            slabs=slabs,
-            unit_label=_expect_str(unit, unit_path),
+def _objects(kind: _Object, *checks: _Check) -> _Reader:
+    """Reader of an array of objects; checks see the array before any of
+    its items is read."""
+
+    def read(node: Any, path: str, scope: Mapping[str, Any]) -> tuple:
+        items = _expect_list(node, path)
+        for check in checks:
+            message = check(items, scope)
+            if message is not None:
+                raise SchemaError(message, path)
+        return tuple(
+            _read_object(kind, item, f"{path}[{i}]", scope) for i, item in enumerate(items)
         )
-    except PricingError as exc:
-        raise SchemaError(str(exc), path) from exc
+
+    return read
 
 
-def _parse_consumer(node: Any, path: str, offer1: Offer, offer2: Offer) -> Consumer:
-    fields = _Fields(node, path)
-    budget, budget_path = fields.require("budget")
-    motives1, m1_path = fields.require("motives1")
-    motives2, m2_path = fields.require("motives2")
-    min1, min1_path = fields.require("min_qty1")
-    min2, min2_path = fields.require("min_qty2")
-    max1, _ = fields.require("max_qty1")
-    max2, _ = fields.require("max_qty2")
-    span, span_path = fields.require("attention_span")
-    acceptance, acc_path = fields.require("acceptance")
-    fields.finish()
+def _check(ok: Callable[[Any], bool], message: str) -> _Check:
+    """A check that fails with message when ok(value) is false."""
+    return lambda value, scope: None if ok(value) else message
 
-    budget_v = _expect_number(budget, budget_path)
-    if not budget_v > 0:
-        raise SchemaError("budget must be positive", budget_path)
-    m1 = _number_list(motives1, m1_path)
-    m2 = _number_list(motives2, m2_path)
-    acc = _number_list(acceptance, acc_path)
-    if len(m1) not in (1, offer1.n_slabs):
-        raise SchemaError(
-            f"needs 1 or {offer1.n_slabs} entries (one per slab of the first offer), got {len(m1)}",
-            m1_path,
+
+def _positive(name: str) -> _Check:
+    return _check(lambda value: value > 0, f"{name} must be positive")
+
+
+def _at_least(low: int, name: str) -> _Check:
+    return _check(lambda value: value >= low, f"{name} must be at least {low}")
+
+
+def _at_most(high: int, name: str) -> _Check:
+    return _check(lambda value: value <= high, f"{name} must be at most {high}")
+
+
+def _supported(version: int, scope: Mapping[str, Any]) -> str | None:
+    if version == SCENARIO_VERSION:
+        return None
+    return f"unsupported version {version}; this build reads {SCENARIO_VERSION}"
+
+
+def _two_offers(offers: list, scope: Mapping[str, Any]) -> str | None:
+    return None if len(offers) == 2 else f"exactly two offers required, got {len(offers)}"
+
+
+def _per_slab(offer: int, which: str) -> _Check:
+    """A motive list holds one entry or one per slab of its offer."""
+
+    def check(motives: tuple, scope: Mapping[str, Any]) -> str | None:
+        n_slabs = scope["offers"][offer].n_slabs
+        if len(motives) in (1, n_slabs):
+            return None
+        return (
+            f"needs 1 or {n_slabs} entries (one per slab of the {which} offer), "
+            f"got {len(motives)}"
         )
-    if len(m2) not in (1, offer2.n_slabs):
-        raise SchemaError(
-            f"needs 1 or {offer2.n_slabs} entries (one per slab of the second offer), got {len(m2)}",
-            m2_path,
-        )
-    if len(acc) not in {1, offer1.n_slabs, offer2.n_slabs}:
-        raise SchemaError(
-            f"needs 1 entry or one per slab of either offer, got {len(acc)}", acc_path
-        )
-    min1_v = _expect_number(min1, min1_path)
-    if not min1_v > 0:
-        raise SchemaError("min_qty1 must be positive", min1_path)
-    min2_v = _expect_number(min2, min2_path)
-    if not min2_v > 0:
-        raise SchemaError("min_qty2 must be positive", min2_path)
-    try:
-        return Consumer(
-            budget=budget_v,
-            motives1=m1,
-            motives2=m2,
-            min_qty1=min1_v,
-            min_qty2=min2_v,
-            max_qty1=_expect_number(max1, f"{path}.max_qty1"),
-            max_qty2=_expect_number(max2, f"{path}.max_qty2"),
-            attention_span=_expect_int(span, span_path),
-            acceptance_probs=acc,
-        )
-    except PricingError as exc:
-        raise SchemaError(str(exc), path) from exc
+
+    return check
 
 
-def _parse_curves(node: Any, path: str, n_consumers: int) -> CurveRequest:
-    fields = _Fields(node, path)
-    start, start_path = fields.require("price_start")
-    stop, stop_path = fields.require("price_stop")
-    step, step_path = fields.require("price_step")
-    baseline = fields.optional("baseline_min_qty")
-    fields.finish()
-    start_v = _expect_number(start, start_path)
-    stop_v = _expect_number(stop, stop_path)
-    step_v = _expect_number(step, step_path)
-    if not start_v > 0:
-        raise SchemaError("price_start must be positive", start_path)
-    if not stop_v >= start_v:
-        raise SchemaError("price_stop must be at least price_start", stop_path)
-    if not step_v > 0:
-        raise SchemaError("price_step must be positive", step_path)
-    request = CurveRequest(start_v, stop_v, step_v)
+def _per_slab_of_either(probs: tuple, scope: Mapping[str, Any]) -> str | None:
+    if len(probs) in {1, *(offer.n_slabs for offer in scope["offers"])}:
+        return None
+    return f"needs 1 entry or one per slab of either offer, got {len(probs)}"
+
+
+def _consumer_index(index: int, scope: Mapping[str, Any]) -> str | None:
+    n_consumers = len(scope["consumers"])
+    if 0 <= index < n_consumers:
+        return None
+    return f"consumer index out of range 0..{n_consumers - 1}"
+
+
+def _check_curves(request: CurveRequest, path: str) -> None:
+    if not request.price_stop >= request.price_start:
+        raise SchemaError("price_stop must be at least price_start", f"{path}.price_stop")
     if not request.n_points() <= MAX_GRID_POINTS:
         raise SchemaError(
-            f"price_step is too small: the grid would exceed {MAX_GRID_POINTS} points", step_path
+            f"price_step is too small: the grid would exceed {MAX_GRID_POINTS} points",
+            f"{path}.price_step",
         )
-    baseline_v = _expect_number(*baseline) if baseline else 1.0
-    if not baseline_v > 0:
-        raise SchemaError("baseline_min_qty must be positive", baseline[1])  # type: ignore[index]
-    return dataclasses.replace(request, baseline_min_qty=baseline_v)
 
 
-def _parse_response(node: Any, path: str, n_consumers: int) -> ResponseRequest:
-    fields = _Fields(node, path)
-    consumer, consumer_path = fields.require("consumer")
-    commodity, commodity_path = fields.require("commodity")
-    start, start_path = fields.require("price_start")
-    stop, stop_path = fields.require("price_stop")
-    points, points_path = fields.require("points")
-    spacing = fields.optional("spacing")
-    fields.finish()
-    consumer_v = _consumer_index(consumer, consumer_path, n_consumers)
-    commodity_v = _commodity_index(commodity, commodity_path)
-    start_v = _expect_number(start, start_path)
-    stop_v = _expect_number(stop, stop_path)
-    if not 0 < start_v < stop_v:
-        raise SchemaError("need 0 < price_start < price_stop", start_path)
-    points_v = _expect_int(points, points_path)
-    if points_v < 2:
-        raise SchemaError("points must be at least 2", points_path)
-    if points_v > MAX_GRID_POINTS:
-        raise SchemaError(f"points must be at most {MAX_GRID_POINTS}", points_path)
-    spacing_v = _expect_str(*spacing) if spacing else "log"
-    if spacing_v not in ("log", "linear"):
-        raise SchemaError("spacing must be 'log' or 'linear'", spacing[1])  # type: ignore[index]
-    return ResponseRequest(consumer_v, commodity_v, start_v, stop_v, points_v, spacing_v)
+def _check_response(request: ResponseRequest, path: str) -> None:
+    if not 0 < request.price_start < request.price_stop:
+        raise SchemaError("need 0 < price_start < price_stop", f"{path}.price_start")
 
 
-def _consumer_index(node: Any, path: str, n_consumers: int) -> int:
-    value = _expect_int(node, path)
-    if not 0 <= value < n_consumers:
-        raise SchemaError(f"consumer index out of range 0..{n_consumers - 1}", path)
-    return value
-
-
-def _commodity_index(node: Any, path: str) -> int:
-    value = _expect_int(node, path)
-    if value not in (1, 2):
-        raise SchemaError("commodity must be 1 or 2", path)
-    return value
-
-
-def _parse_revenue(node: Any, path: str, n_consumers: int) -> RevenueRequest:
-    fields = _Fields(node, path)
-    consumer, consumer_path = fields.require("consumer")
-    commodity, commodity_path = fields.require("commodity")
-    fields.finish()
-    return RevenueRequest(
-        consumer=_consumer_index(consumer, consumer_path, n_consumers),
-        commodity=_commodity_index(commodity, commodity_path),
-    )
-
-
-def _parse_optimizer(node: Any, path: str, n_consumers: int) -> OptimizerRequest:
-    fields = _Fields(node, path)
-    prices, prices_path = fields.require("base_prices")
-    max_slabs, max_path = fields.require("max_slabs")
-    discount, discount_path = fields.require("discount")
-    acceptance, acc_path = fields.require("acceptance")
-    span, span_path = fields.require("attention_span")
-    consumer, consumer_path = fields.require("consumer")
-    commodity, commodity_path = fields.require("commodity")
-    fields.finish()
-    prices_v = _number_list(prices, prices_path)
-    if not prices_v:
-        raise SchemaError("base_prices must be non-empty", prices_path)
-    if any(p <= 0 for p in prices_v):
-        raise SchemaError("base_prices must be positive", prices_path)
-    max_v = _expect_int(max_slabs, max_path)
-    if max_v < 1:
-        raise SchemaError("max_slabs must be at least 1", max_path)
-    if len(prices_v) * max_v * (max_v + 1) // 2 > MAX_LADDER_RUNGS:
+def _check_optimizer(request: OptimizerRequest, path: str) -> None:
+    n_prices, n_slabs = len(request.base_prices), request.max_slabs
+    if n_prices * n_slabs * (n_slabs + 1) // 2 > MAX_LADDER_RUNGS:
         raise SchemaError(
-            f"max_slabs is too large: {len(prices_v)} base prices would search "
+            f"max_slabs is too large: {n_prices} base prices would search "
             f"more than {MAX_LADDER_RUNGS} ladder rungs",
-            max_path,
+            f"{path}.max_slabs",
         )
-    discount_v = _expect_number(discount, discount_path)
-    if not 0.0 < discount_v < 1.0:
-        raise SchemaError("discount must be strictly between 0 and 1", discount_path)
-    acceptance_v = _expect_number(acceptance, acc_path)
-    if not 0.0 <= acceptance_v <= 1.0:
-        raise SchemaError("acceptance probability must lie in [0, 1]", acc_path)
-    span_v = _expect_int(span, span_path)
-    if span_v < 1:
-        raise SchemaError("attention_span must be at least 1", span_path)
-    return OptimizerRequest(
-        base_prices=prices_v,
-        max_slabs=max_v,
-        discount=discount_v,
-        acceptance=acceptance_v,
-        attention_span=span_v,
-        consumer=_consumer_index(consumer, consumer_path, n_consumers),
-        commodity=_commodity_index(commodity, commodity_path),
-    )
 
 
-def _parse_equilibrium(node: Any, path: str, n_consumers: int) -> EquilibriumRequest:
-    fields = _Fields(node, path)
-    supply1, supply1_path = fields.require("supply1")
-    supply2, supply2_path = fields.require("supply2")
-    method = fields.optional("method")
-    bracket, bracket_path = fields.require("bracket")
-    consumer, consumer_path = fields.require("consumer")
-    baseline = fields.optional("baseline_min_qty")
-    fields.finish()
-    supply1_v = _pair_list(supply1, supply1_path)
-    supply2_v = _pair_list(supply2, supply2_path)
-    if len(supply1_v) < 2:
-        raise SchemaError("need at least two (price, qty) pairs", supply1_path)
-    if len(supply2_v) < 2:
-        raise SchemaError("need at least two (price, qty) pairs", supply2_path)
-    if method is None:
-        method_v = FitMethod.TWO_POINT
-    else:
-        name = _expect_str(*method)
-        try:
-            method_v = FitMethod(name)
-        except ValueError:
-            choices = ", ".join(m.value for m in FitMethod)
-            raise SchemaError(f"method must be one of: {choices}", method[1]) from None
-    bracket_v = _number_list(bracket, bracket_path)
-    if len(bracket_v) != 2 or not 0 < bracket_v[0] < bracket_v[1]:
-        raise SchemaError("bracket must be [q_lo, q_hi] with 0 < q_lo < q_hi", bracket_path)
-    baseline_v = _expect_number(*baseline) if baseline else 1.0
-    if not baseline_v > 0:
-        raise SchemaError("baseline_min_qty must be positive", baseline[1])  # type: ignore[index]
-    return EquilibriumRequest(
-        supply1=supply1_v,
-        supply2=supply2_v,
-        method=method_v,
-        bracket=(bracket_v[0], bracket_v[1]),
-        consumer=_consumer_index(consumer, consumer_path, n_consumers),
-        baseline_min_qty=baseline_v,
-    )
+def _scenario(offers: tuple[Offer, Offer], analysis: dict | None, **fields: Any) -> Scenario:
+    offer1, offer2 = offers
+    return Scenario(offer1=offer1, offer2=offer2, **fields, **(analysis or {}))
 
 
-def _parse_simulation(node: Any, path: str, n_consumers: int) -> SimulationRequest:
-    fields = _Fields(node, path)
-    trials, trials_path = fields.require("trials")
-    seed, seed_path = fields.require("seed")
-    fields.finish()
-    trials_v = _expect_int(trials, trials_path)
-    if trials_v < 1:
-        raise SchemaError("trials must be at least 1", trials_path)
-    if trials_v > MAX_TRIALS:
-        raise SchemaError(f"trials must be at most {MAX_TRIALS}", trials_path)
-    seed_v = _expect_int(seed, seed_path)
-    if not 0 <= seed_v < 2**64:
-        raise SchemaError("seed must fit in 64 bits", seed_path)
-    return SimulationRequest(trials=trials_v, seed=seed_v)
+_SLAB = _Object(Slab, _Row("unit_price", _number), _Row("min_qty", _number))
+_OFFER = _Object(
+    Offer,
+    _Row("id", _string, attr="commodity_id"),
+    _Row("unit", _string, attr="unit_label"),
+    _Row("slabs", _objects(_SLAB)),
+)
+_CONSUMER = _Object(
+    Consumer,
+    _Row("budget", _number, (_positive("budget"),)),
+    _Row("motives1", _numbers, (_per_slab(0, "first"),)),
+    _Row("motives2", _numbers, (_per_slab(1, "second"),)),
+    _Row("min_qty1", _number, (_positive("min_qty1"),)),
+    _Row("min_qty2", _number, (_positive("min_qty2"),)),
+    _Row("max_qty1", _number),
+    _Row("max_qty2", _number),
+    _Row("attention_span", _integer),
+    _Row("acceptance", _numbers, (_per_slab_of_either,), attr="acceptance_probs"),
+)
 
+_BASELINE = (_positive("baseline_min_qty"),)
+_CONSUMER_ROW = _Row("consumer", _integer, (_consumer_index,))
+_COMMODITY_ROW = _Row(
+    "commodity", _integer, (_check(lambda c: c in (1, 2), "commodity must be 1 or 2"),)
+)
+_CURVES = _Object(
+    CurveRequest,
+    _Row("price_start", _number, (_positive("price_start"),)),
+    _Row("price_stop", _number),
+    _Row("price_step", _number, (_positive("price_step"),)),
+    _Row("baseline_min_qty", _number, _BASELINE, default=CurveRequest.baseline_min_qty),
+    check=_check_curves,
+)
+_SPACING = _check(lambda s: s in ("log", "linear"), "spacing must be 'log' or 'linear'")
+_RESPONSE = _Object(
+    ResponseRequest,
+    _CONSUMER_ROW,
+    _COMMODITY_ROW,
+    _Row("price_start", _number),
+    _Row("price_stop", _number),
+    _Row("points", _integer, (_at_least(2, "points"), _at_most(MAX_GRID_POINTS, "points"))),
+    _Row("spacing", _string, (_SPACING,), default=ResponseRequest.spacing),
+    check=_check_response,
+)
+_REVENUE = _Object(RevenueRequest, _CONSUMER_ROW, _COMMODITY_ROW)
+_PRICES = (
+    _check(bool, "base_prices must be non-empty"),
+    _check(lambda prices: all(p > 0 for p in prices), "base_prices must be positive"),
+)
+_DISCOUNT = _check(lambda d: 0.0 < d < 1.0, "discount must be strictly between 0 and 1")
+_PROBABILITY = _check(lambda a: 0.0 <= a <= 1.0, "acceptance probability must lie in [0, 1]")
+_OPTIMIZER = _Object(
+    OptimizerRequest,
+    _Row("base_prices", _numbers, _PRICES),
+    _Row("max_slabs", _integer, (_at_least(1, "max_slabs"),)),
+    _Row("discount", _number, (_DISCOUNT,)),
+    _Row("acceptance", _number, (_PROBABILITY,)),
+    _Row("attention_span", _integer, (_at_least(1, "attention_span"),)),
+    _CONSUMER_ROW,
+    _COMMODITY_ROW,
+    check=_check_optimizer,
+)
+_PAIRS = (_check(lambda pairs: len(pairs) >= 2, "need at least two (price, qty) pairs"),)
+_BRACKET = _check(
+    lambda b: len(b) == 2 and 0 < b[0] < b[1], "bracket must be [q_lo, q_hi] with 0 < q_lo < q_hi"
+)
+_EQUILIBRIUM = _Object(
+    EquilibriumRequest,
+    _Row("supply1", _pairs, _PAIRS),
+    _Row("supply2", _pairs, _PAIRS),
+    _Row("method", _method, default=FitMethod.TWO_POINT),
+    _Row("bracket", _numbers, (_BRACKET,)),
+    _CONSUMER_ROW,
+    _Row("baseline_min_qty", _number, _BASELINE, default=EquilibriumRequest.baseline_min_qty),
+)
+_SIMULATION = _Object(
+    SimulationRequest,
+    _Row("trials", _integer, (_at_least(1, "trials"), _at_most(MAX_TRIALS, "trials"))),
+    _Row("seed", _integer, (_check(lambda s: 0 <= s < 2**64, "seed must fit in 64 bits"),)),
+)
+# each analysis key is also the Scenario attribute that holds its request
+_ANALYSIS = _Object(
+    dict,
+    _Row("curves", partial(_read_object, _CURVES), default=None),
+    _Row("response", partial(_read_object, _RESPONSE), default=None),
+    _Row("revenue", partial(_read_object, _REVENUE), default=None),
+    _Row("optimizer", partial(_read_object, _OPTIMIZER), default=None),
+    _Row("equilibrium", partial(_read_object, _EQUILIBRIUM), default=None),
+    _Row("simulation", partial(_read_object, _SIMULATION), default=None),
+)
+_SCENARIO = _Object(
+    _scenario,
+    _Row("version", _integer, (_supported,)),
+    _Row("name", _string, default="unnamed"),
+    _Row("currency", _string, default="INR"),
+    _Row("offers", _objects(_OFFER, _two_offers)),
+    _Row("consumers", _objects(_CONSUMER, _check(bool, "at least one consumer required"))),
+    _Row("analysis", partial(_read_object, _ANALYSIS), default=None),
+)
 
-# analysis key -> parser(node, path, number of consumers), in reading order;
-# each key is also the Scenario attribute that holds the parsed request
-_REQUEST_PARSERS = {
-    "curves": _parse_curves,
-    "response": _parse_response,
-    "revenue": _parse_revenue,
-    "optimizer": _parse_optimizer,
-    "equilibrium": _parse_equilibrium,
-    "simulation": _parse_simulation,
+# the kinds scenario_to_dict writes by their rows, by the type they build
+_KINDS = {
+    kind.build: kind
+    for kind in (_SLAB, _OFFER, _CONSUMER, _CURVES, _RESPONSE, _REVENUE, _OPTIMIZER)
+    + (_EQUILIBRIUM, _SIMULATION)
 }
+
+
+# ---------------------------------------------------------------------------
+# parsing
 
 
 def scenario_from_dict(root: Any) -> Scenario:
     """Validate a parsed JSON document into a Scenario."""
-    fields = _Fields(root, "")
-    version, version_path = fields.require("version")
-    name = fields.optional("name")
-    currency = fields.optional("currency")
-    offers, offers_path = fields.require("offers")
-    consumers, consumers_path = fields.require("consumers")
-    analysis = fields.optional("analysis")
-    fields.finish()
-
-    version_v = _expect_int(version, version_path)
-    if version_v != SCENARIO_VERSION:
-        raise SchemaError(f"unsupported version {version_v}; this build reads {SCENARIO_VERSION}", version_path)
-    name_v = _expect_str(*name) if name else "unnamed"
-    currency_v = _expect_str(*currency) if currency else "INR"
-
-    offers_list = _expect_list(offers, offers_path)
-    if len(offers_list) != 2:
-        raise SchemaError(f"exactly two offers required, got {len(offers_list)}", offers_path)
-    offer1 = _parse_offer(offers_list[0], f"{offers_path}[0]")
-    offer2 = _parse_offer(offers_list[1], f"{offers_path}[1]")
-
-    consumer_nodes = _expect_list(consumers, consumers_path)
-    if not consumer_nodes:
-        raise SchemaError("at least one consumer required", consumers_path)
-    parsed_consumers = tuple(
-        _parse_consumer(node, f"{consumers_path}[{i}]", offer1, offer2)
-        for i, node in enumerate(consumer_nodes)
-    )
-
-    requests = {}
-    if analysis is not None:
-        analysis_fields = _Fields(*analysis)
-        for key, parse in _REQUEST_PARSERS.items():
-            node = analysis_fields.optional(key)
-            if node:
-                requests[key] = parse(*node, len(parsed_consumers))
-        analysis_fields.finish()
-
-    return Scenario(
-        version=version_v,
-        name=name_v,
-        currency=currency_v,
-        offer1=offer1,
-        offer2=offer2,
-        consumers=parsed_consumers,
-        **requests,
-    )
+    return _read_object(_SCENARIO, root, "", {})
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -572,55 +513,33 @@ def parse_scenario(path: str | Path) -> Scenario:
 # serialization
 
 
-def _offer_to_dict(offer: Offer) -> dict:
-    return {
-        "id": offer.commodity_id,
-        "unit": offer.unit_label,
-        "slabs": [{"unit_price": s.unit_price, "min_qty": s.min_qty} for s in offer.slabs],
-    }
-
-
-def _consumer_to_dict(consumer: Consumer) -> dict:
-    return {
-        "budget": consumer.budget,
-        "motives1": list(consumer.motives1),
-        "motives2": list(consumer.motives2),
-        "min_qty1": consumer.min_qty1,
-        "min_qty2": consumer.min_qty2,
-        "max_qty1": consumer.max_qty1,
-        "max_qty2": consumer.max_qty2,
-        "attention_span": consumer.attention_span,
-        "acceptance": list(consumer.acceptance_probs),
-    }
+def _write_fields(fields: Mapping[str, Any], kind: _Object) -> dict:
+    """An object's fields as JSON, by its rows; absent requests are left out."""
+    document = {}
+    for row in kind.rows:
+        value = _plain(fields[row.attr or row.key])
+        if value is not None and value != {}:
+            document[row.key] = value
+    return document
 
 
 def _plain(value: Any) -> Any:
-    """A request field as JSON: tuples become lists, enums their value."""
-    if isinstance(value, tuple):
+    """A field as JSON: objects by their rows, tuples as lists, enums by value."""
+    if isinstance(value, (tuple, list)):
         return [_plain(item) for item in value]
     if isinstance(value, FitMethod):
         return value.value
+    if type(value) in _KINDS:
+        return _write_fields(vars(value), _KINDS[type(value)])
     return value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Scenario as the plain-JSON structure parse_scenario reads."""
-    analysis = {}
-    for key in _REQUEST_PARSERS:
-        request = getattr(scenario, key)
-        if request is not None:
-            fields = dataclasses.fields(request)
-            analysis[key] = {field.name: _plain(getattr(request, field.name)) for field in fields}
-    document: dict[str, Any] = {
-        "version": scenario.version,
-        "name": scenario.name,
-        "currency": scenario.currency,
-        "offers": [_offer_to_dict(scenario.offer1), _offer_to_dict(scenario.offer2)],
-        "consumers": [_consumer_to_dict(c) for c in scenario.consumers],
-    }
-    if analysis:
-        document["analysis"] = analysis
-    return document
+    fields = {**vars(scenario), "offers": (scenario.offer1, scenario.offer2)}
+    # the requests are Scenario attributes, written under one analysis key
+    fields["analysis"] = _write_fields(fields, _ANALYSIS)
+    return _write_fields(fields, _SCENARIO)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -107,6 +107,26 @@ def test_expected_revenue_fixed_demand_breakdown():
     assert report.diagnostic == ""
 
 
+def test_rung_past_the_span_contributes_nothing_even_at_infinite_demand():
+    # slab 2's demand overflows to inf at its price, but a span-1 walk never
+    # reaches it; 0 * inf would make the total nan
+    flood = ResponseContext(
+        motive=1.0, budget=1e308, cross_price=0.2, own_min_qty=20.0, cross_min_qty=200.0
+    )
+    plan = SlabPlan(
+        slabs=(
+            PlanSlab(price=10.0, context=ResponseContext(0.5, 1000.0, 0.2, 20.0, 200.0)),
+            PlanSlab(price=0.5, context=flood),
+        ),
+        acceptance_probs=(0.5, 0.5),
+        attention_span=1,
+    )
+    report = expected_revenue(plan)
+    assert math.isinf(report.per_slab[1].demand)
+    assert report.per_slab[1].contribution == 0.0
+    assert report.total == 290.0
+
+
 def test_default_demand_fn_is_the_context_response():
     plan = ladder((0.175,), (1.0,), span=1)
     report = expected_revenue(plan)

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -303,3 +304,145 @@ def test_missing_required_field():
     del doc["consumers"][0]["budget"]
     with pytest.raises(SchemaError, match="consumers\\[0\\].budget: required field missing"):
         scenario_from_dict(doc)
+
+
+
+def _nodes(node, path=""):
+    """(JSON path, value) of every node of a document below the root,
+    spelled as schema errors spell it, e.g. consumers[0].motives1[0]."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(node, list):
+            child_path = f"{path}[{key}]"
+        else:
+            child_path = f"{path}.{key}" if path else key
+        yield child_path, child
+        if isinstance(child, (dict, list)):
+            yield from _nodes(child, child_path)
+
+
+def _parent_and_key(doc, path):
+    """The container holding the node at a JSON path, and its key there."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    for key in keys[:-1]:
+        doc = doc[key]
+    return doc, keys[-1]
+
+
+DELETE = object()
+
+
+def _edit(doc, path, value):
+    """Set the node at a JSON path to value, or delete it for DELETE."""
+    parent, key = _parent_and_key(doc, path)
+    if value is DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_wrong_type_names_the_node_itself(name):
+    """A value of the wrong type is reported at its own path, never
+    prefixed with the path of the object around it."""
+    base = load_dict(name)
+    for path, value in _nodes(base):
+        doc = copy.deepcopy(base)
+        _edit(doc, path, 0 if isinstance(value, str) else "x")
+        with pytest.raises(SchemaError) as failure:
+            scenario_from_dict(doc)
+        assert failure.value.path == path
+        assert str(failure.value).count(path) == 1
+
+
+# one document per phase boundary of the error-order rule: required keys,
+# then unknown keys, then values in row order, then cross-field checks
+ORDER_CASES = [
+    (
+        "missing key before unknown key",
+        [("consumers[0].budget", DELETE), ("consumers[0].aardvark", 1)],
+        "consumers[0].budget: required field missing",
+    ),
+    (
+        "unknown key before a bad value",
+        [("consumers[0].zebra", 1), ("consumers[0].budget", "x")],
+        "consumers[0].zebra: unknown field",
+    ),
+    (
+        "unknown root key before a bad nested value",
+        [("surprise", 1), ("offers[0].slabs[0].unit_price", -1)],
+        "surprise: unknown field",
+    ),
+    (
+        "bad values in document order",
+        [("consumers[0].acceptance", [0.5, 0.5, 0.5]), ("consumers[0].min_qty1", 0)],
+        "consumers[0].min_qty1: min_qty1 must be positive",
+    ),
+    (
+        "a field before the nested objects after it",
+        [("offers[0].slabs", []), ("offers[0].id", 3)],
+        "offers[0].id: expected a string, got int",
+    ),
+    (
+        "row check before cross-field check",
+        [("analysis.curves.price_stop", 0.5), ("analysis.curves.baseline_min_qty", -1)],
+        "analysis.curves.baseline_min_qty: baseline_min_qty must be positive",
+    ),
+]
+
+
+@pytest.mark.parametrize("label,edits,message", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
+def test_first_error_follows_the_three_phases(label, edits, message):
+    doc = load_dict("paper_convex")
+    for path, value in edits:
+        _edit(doc, path, value)
+    with pytest.raises(SchemaError) as failure:
+        scenario_from_dict(doc)
+    assert str(failure.value) == message
+
+
+WRONG_VALUES = (None, True, 0, -1, 0.5, 2.5, -1e-200, 1e200, 10**20, 10**400, float("inf"))
+WRONG_VALUES += ("x", [], [0.5], {}, {"k": 1})
+
+
+def fault_corpus():
+    """Every single-fault edit of the bundled scenarios: each object key
+    deleted, each node (the root too) set to each of WRONG_VALUES, and an
+    unknown key added to each object. Yields (label, document)."""
+    for name in BUNDLED_SCENARIOS:
+        text = bundled_scenario_path(name).read_text(encoding="utf-8")
+        for path, value in [("", json.loads(text)), *_nodes(json.loads(text))]:
+            if path and not path.endswith("]"):
+                doc = json.loads(text)
+                _edit(doc, path, DELETE)
+                yield f"{name} del {path}", doc
+            for i, wrong in enumerate(WRONG_VALUES):
+                doc = json.loads(text)
+                if path:
+                    _edit(doc, path, copy.deepcopy(wrong))
+                else:
+                    doc = copy.deepcopy(wrong)
+                yield f"{name} set {path} {i}", doc
+            if isinstance(value, dict):
+                doc = json.loads(text)
+                _edit(doc, f"{path}.zz_extra" if path else "zz_extra", 1)
+                yield f"{name} add {path}", doc
+
+
+def test_fault_corpus_outcomes_are_frozen():
+    """Only SchemaError escapes, and each document's outcome (the error
+    message, or acceptance) is pinned by one sha256 over all of them."""
+    lines = []
+    for label, doc in fault_corpus():
+        try:
+            scenario_from_dict(doc)
+        except SchemaError as exc:
+            lines.append(f"{label}: {exc}")
+        else:
+            lines.append(f"{label}: accepted")
+    assert len(lines) == 6508
+    # frozen when the field tables replaced hand-written parsers, whose
+    # outcomes differed only in printing the path of an offer's id/unit or a
+    # consumer's max_qty1/max_qty2/attention_span twice
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "705fa17862a4a7f7223088adbbea040753dd7e05c78fb114d2bad5862fdb6e7d"
