@@ -11,9 +11,11 @@ Subcommands:
     reproduce    full battery over the bundled scenarios
 
 Global flags: --scenario <path>, --out <dir>, --seed <u64>, --overwrite.
-Numbers are written with 10 significant digits; reruns with identical inputs
-produce byte-identical files. Exit codes: 0 success, 2 usage, 3 schema,
-4 infeasible, 5 numerical failure.
+Each command returns its CSV tables and ``write_tables`` writes all of them
+or none, so a failing command writes no file (unless the operating system
+fails partway through the writes). Numbers are written with 10 significant
+digits; reruns with identical inputs produce byte-identical files. Exit
+codes: 0 success, 2 usage or OS error, 3 schema, 4 infeasible, 5 numerical.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from .demand import own_and_cross
-from .equilibrium import EquilibriumPoint, FitMethod, SupplyLine, fit_supply_line, solve_equilibrium
-from .errors import NumericalError, PricingError
+from .equilibrium import FitMethod, fit_supply_line, solve_equilibrium
+from .errors import InvalidParameterError, NumericalError, PricingError
 from .price_response import (
     WTP_REFERENCE_PRICES,
     ResponseContext,
@@ -59,47 +61,44 @@ class UsageError(Exception):
 
 
 def format_number(value: float) -> str:
-    """10-significant-digit text form; -0 is normalized to 0."""
-    if value == 0:
-        value = 0.0
-    return f"{value:.10g}"
+    """10-significant-digit text form; -0 is normalized to 0 (-0.0 + 0.0 is 0.0)."""
+    return f"{value + 0.0:.10g}"
 
 
-def _cells(path: Path, header: Sequence[str], row: Sequence[Any]) -> list[str]:
-    cells = []
-    for column, value in zip(header, row, strict=True):
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise NumericalError(f"{path}: non-finite value {value} in column {column!r}")
-            cells.append(format_number(value))
-        else:
-            cells.append(str(value))
-    return cells
+Table = tuple[str, Sequence[str], Sequence[Sequence[Any]]]  # file name, header, rows
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]], overwrite: bool) -> Path:
-    """Write one CSV file; every row is formatted (and checked finite)
-    before the file is opened, so a failure leaves no file behind."""
-    if path.exists() and not overwrite:
-        raise UsageError(f"{path} exists; pass --overwrite to replace it")
-    lines = [_cells(path, header, row) for row in rows]
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> Path:
+    """Write one CSV file, formatting each row as it is written."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(lines)
-    print(f"wrote {path}")
+        writer.writerows(
+            [format_number(v) if isinstance(v, float) else v for v in row] for row in rows
+        )
     return path
+
+
+def write_tables(out: Path, tables: Sequence[Table], overwrite: bool) -> None:
+    """Write every table into ``out``, or none: existing targets are refused
+    (unless ``overwrite``) and every float cell is checked finite before
+    ``out`` is created and the first file opened."""
+    paths = [out / name for name, _, _ in tables]
+    for path in paths:
+        if path.exists() and not overwrite:
+            raise UsageError(f"{path} exists; pass --overwrite to replace it")
+    for path, (_, header, rows) in zip(paths, tables):
+        for row in rows:
+            for column, value in zip(header, row, strict=True):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise NumericalError(f"{path}: non-finite value {value} in column {column!r}")
+    out.mkdir(parents=True, exist_ok=True)
+    for path, (_, header, rows) in zip(paths, tables):
+        print(f"wrote {write_csv(path, header, rows)}")
 
 
 # ---------------------------------------------------------------------------
 # shared scenario plumbing
-
-
-def _load_scenario(args: argparse.Namespace) -> Scenario:
-    if not args.scenario:
-        raise UsageError("--scenario is required for this command")
-    return parse_scenario(args.scenario)
 
 
 def _request(scenario: Scenario, kind: str) -> Any:
@@ -136,10 +135,10 @@ def _price_grid(start: float, stop: float, points: int, spacing: str) -> list[fl
 
 
 # ---------------------------------------------------------------------------
-# emission blocks (shared between single commands and reproduce)
+# commands: each returns its tables, in the order they are written
 
 
-def emit_curves_csv(scenario: Scenario, out: Path, overwrite: bool) -> list[Path]:
+def _demand(scenario: Scenario) -> list[Table]:
     """Demand-curve families, one file per commodity.
 
     Columns: price, one constrained column per consumer (their own
@@ -152,7 +151,7 @@ def emit_curves_csv(scenario: Scenario, out: Path, overwrite: bool) -> list[Path
     if not grid:
         raise UsageError("empty price grid")
     consumers = range(len(scenario.consumers))
-    written = []
+    tables = []
     for commodity, tag in ((1, "mu"), (2, "phi")):
         constrained = [_context_for(scenario, i, commodity) for i in consumers]
         header = ["price"]
@@ -162,13 +161,11 @@ def emit_curves_csv(scenario: Scenario, out: Path, overwrite: bool) -> list[Path
             _context_for(scenario, i, commodity, request.baseline_min_qty) for i in consumers
         ]
         rows = [[price] + [price_response(ctx, price).qty for ctx in contexts] for price in grid]
-        written.append(
-            write_csv(out / f"demand_x{commodity}.csv", header, rows, overwrite)
-        )
-    return written
+        tables.append((f"demand_x{commodity}.csv", header, rows))
+    return tables
 
 
-def emit_response_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
+def _respond(scenario: Scenario) -> list[Table]:
     """Response properties table on the requested price grid."""
     request = _request(scenario, "response")
     ctx = _context_for(scenario, request.consumer, request.commodity)
@@ -189,7 +186,7 @@ def emit_response_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
             ]
             + [willingness_to_pay(ctx, price, ref) for ref in WTP_REFERENCE_PRICES]
         )
-    return write_csv(out / "response.csv", header, rows, overwrite)
+    return [("response.csv", header, rows)]
 
 
 _REVENUE_HEADER = [
@@ -227,14 +224,12 @@ def _revenue_report(scenario: Scenario) -> RevenueReport:
     return expected_revenue(_consumer_plan(scenario, request.consumer, request.commodity))
 
 
-def emit_revenue_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
+def _revenue(scenario: Scenario) -> list[Table]:
     report = _revenue_report(scenario)
-    return write_csv(
-        out / "revenue.csv", _REVENUE_HEADER, _revenue_rows(scenario.name, report), overwrite
-    )
+    return [("revenue.csv", _REVENUE_HEADER, _revenue_rows(scenario.name, report))]
 
 
-def emit_slab_study_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
+def _optimize(scenario: Scenario) -> list[Table]:
     """Best plan per slab count for the scenario's ladder family."""
     request = _request(scenario, "optimizer")
     ctx = _context_for(scenario, request.consumer, request.commodity)
@@ -254,41 +249,31 @@ def emit_slab_study_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
     rows = []
     for count in counts:
         plan, report = by_count[count]
-        rows.append(
-            [
-                count,
-                plan.slabs[0].price,
-                report.total,
-                int(plan == best_plan),
-            ]
-        )
-    return write_csv(out / "slab_study.csv", header, rows, overwrite)
+        rows.append([count, plan.slabs[0].price, report.total, int(plan == best_plan)])
+    return [("slab_study.csv", header, rows)]
 
 
-def _supply_line(commodity: int, pairs: Sequence[tuple[float, float]], method: FitMethod) -> SupplyLine:
-    """The commodity's supply line; a fit that fails numerically names the
-    commodity's supply pairs."""
-    try:
-        return fit_supply_line(pairs, method)
-    except NumericalError as exc:
-        raise NumericalError(f"analysis.equilibrium.supply{commodity}: {exc}") from None
+def _supply_error(commodity: int, exc: PricingError) -> PricingError:
+    """The same error, naming the commodity's supply pairs as its cause."""
+    return type(exc)(f"analysis.equilibrium.supply{commodity}: {exc}")
 
 
-def _solve_equilibria(
-    scenario: Scenario,
-) -> list[tuple[int, str, SupplyLine, EquilibriumPoint]]:
+def _equilibrium(scenario: Scenario) -> list[Table]:
+    """Each commodity's supply line fitted once per method, then the
+    equilibria of the requested method's lines."""
     request = _request(scenario, "equilibrium")
-    results = []
+    lines = {}
     for commodity, pairs in ((1, request.supply1), (2, request.supply2)):
-        supply = _supply_line(commodity, pairs, request.method)
-        for variant, baseline in (("constrained", None), ("unconstrained", request.baseline_min_qty)):
-            ctx = _context_for(scenario, request.consumer, commodity, baseline)
-            point = solve_equilibrium(lambda price: price_response(ctx, price).qty, supply, request.bracket)
-            results.append((commodity, variant, supply, point))
-    return results
-
-
-def emit_equilibrium_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
+        for method in FitMethod:
+            try:
+                lines[commodity, method] = fit_supply_line(pairs, method)
+            except (InvalidParameterError, NumericalError) as exc:
+                raise _supply_error(commodity, exc) from None
+    fit_header = ["commodity", "fit_method", "slope", "intercept"]
+    fit_rows = [
+        [commodity, method.value, line.slope, line.intercept]
+        for (commodity, method), line in lines.items()
+    ]
     header = [
         "commodity",
         "variant",
@@ -300,32 +285,31 @@ def emit_equilibrium_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path
         "iterations",
         "residual",
     ]
-    rows = [
-        [
-            commodity,
-            variant,
-            supply.fit_method.value,
-            supply.slope,
-            supply.intercept,
-            point.qty,
-            point.price,
-            point.iterations,
-            point.residual,
-        ]
-        for commodity, variant, supply, point in _solve_equilibria(scenario)
-    ]
-    return write_csv(out / "equilibrium.csv", header, rows, overwrite)
-
-
-def emit_supply_fit_csv(scenario: Scenario, out: Path, overwrite: bool) -> Path:
-    request = _request(scenario, "equilibrium")
-    header = ["commodity", "fit_method", "slope", "intercept"]
     rows = []
-    for commodity, pairs in ((1, request.supply1), (2, request.supply2)):
-        for method in (FitMethod.TWO_POINT, FitMethod.LEAST_SQUARES):
-            line = _supply_line(commodity, pairs, method)
-            rows.append([commodity, method.value, line.slope, line.intercept])
-    return write_csv(out / "supply_fit.csv", header, rows, overwrite)
+    for commodity in (1, 2):
+        supply = lines[commodity, request.method]
+        for variant, baseline in (("constrained", None), ("unconstrained", request.baseline_min_qty)):
+            ctx = _context_for(scenario, request.consumer, commodity, baseline)
+            try:
+                point = solve_equilibrium(
+                    lambda price: price_response(ctx, price).qty, supply, request.bracket
+                )
+            except InvalidParameterError as exc:  # a supply price at or below 0
+                raise _supply_error(commodity, exc) from None
+            rows.append(
+                [
+                    commodity,
+                    variant,
+                    supply.fit_method.value,
+                    supply.slope,
+                    supply.intercept,
+                    point.qty,
+                    point.price,
+                    point.iterations,
+                    point.residual,
+                ]
+            )
+    return [("supply_fit.csv", fit_header, fit_rows), ("equilibrium.csv", header, rows)]
 
 
 _MC_HEADER = [
@@ -363,29 +347,23 @@ def _monte_carlo(
     return report, estimate, row
 
 
-def emit_simulation_csv(scenario: Scenario, out: Path, overwrite: bool, seed_flag: int | None) -> list[Path]:
+def _simulate(scenario: Scenario, seed_flag: int | None) -> list[Table]:
     report, estimate, row = _monte_carlo(scenario, seed_flag)
-    written = [write_csv(out / "mc.csv", _MC_HEADER, [row], overwrite)]
     slab_header = ["slab", "purchases", "frequency", "purchase_probability"]
     slab_rows = [
         [line.index, count, count / estimate.trials, line.reach_prob * line.acceptance_prob]
         for line, count in zip(report.per_slab, estimate.slab_counts)
     ]
-    written.append(write_csv(out / "mc_slabs.csv", slab_header, slab_rows, overwrite))
-    return written
+    return [("mc.csv", _MC_HEADER, [row]), ("mc_slabs.csv", slab_header, slab_rows)]
 
 
-def emit_reproduce_battery(out: Path, overwrite: bool, seed_flag: int | None) -> list[Path]:
+def _reproduce(seed_flag: int | None) -> list[Table]:
     """The full bundled-scenario battery; the acceptance artifacts."""
     scenarios = {name: parse_scenario(bundled_scenario_path(name)) for name in BUNDLED_SCENARIOS}
-    written: list[Path] = []
-
     convex = scenarios["paper_convex"]
-    written.append(emit_supply_fit_csv(convex, out, overwrite))
-    written.extend(emit_curves_csv(convex, out, overwrite))
-    written.append(emit_response_csv(convex, out, overwrite))
-    written.append(emit_equilibrium_csv(convex, out, overwrite))
-    written.append(emit_slab_study_csv(scenarios["slab_study"], out, overwrite))
+    supply_fit, equilibrium = _equilibrium(convex)
+    tables = [supply_fit, *_demand(convex), *_respond(convex), equilibrium]
+    tables += _optimize(scenarios["slab_study"])
 
     revenue_rows: list[list[Any]] = []
     mc_rows: list[list[Any]] = []
@@ -395,8 +373,8 @@ def emit_reproduce_battery(out: Path, overwrite: bool, seed_flag: int | None) ->
         reports[name] = report
         revenue_rows.extend(_revenue_rows(name, report))
         mc_rows.append(mc_row)
-    written.append(write_csv(out / "revenue_reports.csv", _REVENUE_HEADER, revenue_rows, overwrite))
-    written.append(write_csv(out / "mc_validation.csv", _MC_HEADER, mc_rows, overwrite))
+    tables.append(("revenue_reports.csv", _REVENUE_HEADER, revenue_rows))
+    tables.append(("mc_validation.csv", _MC_HEADER, mc_rows))
 
     ranking_sources = ("paper_convex", "paper_mixed", "paper_nonconvex")
     comparison = compare_domains(
@@ -409,43 +387,24 @@ def emit_reproduce_battery(out: Path, overwrite: bool, seed_flag: int | None) ->
         [rank, entry.label, entry.domain.kind.value, entry.report.total]
         for rank, entry in enumerate(comparison.ranked, start=1)
     ]
-    written.append(write_csv(out / "domain_ranking.csv", rank_header, rank_rows, overwrite))
-    return written
+    tables.append(("domain_ranking.csv", rank_header, rank_rows))
+    return tables
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-
-def _cmd_demand(args: argparse.Namespace) -> None:
-    emit_curves_csv(_load_scenario(args), Path(args.out), args.overwrite)
-
-
-def _cmd_respond(args: argparse.Namespace) -> None:
-    emit_response_csv(_load_scenario(args), Path(args.out), args.overwrite)
-
-
-def _cmd_revenue(args: argparse.Namespace) -> None:
-    emit_revenue_csv(_load_scenario(args), Path(args.out), args.overwrite)
-
-
-def _cmd_optimize(args: argparse.Namespace) -> None:
-    emit_slab_study_csv(_load_scenario(args), Path(args.out), args.overwrite)
-
-
-def _cmd_equilibrium(args: argparse.Namespace) -> None:
-    scenario = _load_scenario(args)
-    out = Path(args.out)
-    emit_supply_fit_csv(scenario, out, args.overwrite)
-    emit_equilibrium_csv(scenario, out, args.overwrite)
-
-
-def _cmd_simulate(args: argparse.Namespace) -> None:
-    emit_simulation_csv(_load_scenario(args), Path(args.out), args.overwrite, args.seed)
-
-
-def _cmd_reproduce(args: argparse.Namespace) -> None:
-    emit_reproduce_battery(Path(args.out), args.overwrite, args.seed)
+# name -> (tables function, help); simulate also takes --seed, and reproduce
+# takes only --seed
+_COMMANDS = {
+    "demand": (_demand, "emit demand-curve families"),
+    "respond": (_respond, "emit the price-response properties table"),
+    "revenue": (_revenue, "emit the expected-revenue report"),
+    "optimize": (_optimize, "emit the slab-count study"),
+    "equilibrium": (_equilibrium, "emit supply fits and equilibria"),
+    "simulate": (_simulate, "emit the Monte Carlo check"),
+    "reproduce": (_reproduce, "emit the full bundled-scenario battery"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,19 +417,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the scenario's simulation seed")
     parser.add_argument("--overwrite", action="store_true", help="replace existing output files")
     commands = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "demand": (_cmd_demand, "emit demand-curve families"),
-        "respond": (_cmd_respond, "emit the price-response properties table"),
-        "revenue": (_cmd_revenue, "emit the expected-revenue report"),
-        "optimize": (_cmd_optimize, "emit the slab-count study"),
-        "equilibrium": (_cmd_equilibrium, "emit supply fits and equilibria"),
-        "simulate": (_cmd_simulate, "emit the Monte Carlo check"),
-        "reproduce": (_cmd_reproduce, "emit the full bundled-scenario battery"),
-    }
-    for name, (handler, help_text) in handlers.items():
-        sub = commands.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
+    for name, (_, help_text) in _COMMANDS.items():
+        commands.add_parser(name, help=help_text)
     return parser
+
+
+def _tables(args: argparse.Namespace) -> list[Table]:
+    """The tables of the command the arguments name."""
+    tables_of, _ = _COMMANDS[args.command]
+    if args.command == "reproduce":
+        return tables_of(args.seed)
+    if not args.scenario:
+        raise UsageError("--scenario is required for this command")
+    scenario = parse_scenario(args.scenario)
+    if args.command == "simulate":
+        return tables_of(scenario, args.seed)
+    return tables_of(scenario)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -480,16 +442,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error[usage]: --seed must fit in 64 bits: {args.seed}", file=sys.stderr)
         return 2
     try:
-        args.handler(args)
-    except UsageError as exc:
+        write_tables(Path(args.out), _tables(args), args.overwrite)
+    except (UsageError, OSError) as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 2
     except PricingError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error[usage]: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -501,9 +501,10 @@ def scenario_from_dict(root: Any) -> Scenario:
 
 def parse_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        root = json.loads(text)
+        root = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc}", str(path)) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", str(path)) from exc
     return scenario_from_dict(root)

@@ -29,6 +29,20 @@ def mutated_scenario(tmp_path, name, mutate):
     return str(path)
 
 
+def equilibrium_edit(key, value):
+    """An edit that sets one field of the equilibrium request."""
+
+    def edit(doc):
+        doc["analysis"]["equilibrium"][key] = value
+
+    return edit
+
+
+def snapshot(directory):
+    """File name to bytes, or None when the directory is absent."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else None
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -173,6 +187,74 @@ def test_failed_bracket_exits_5(tmp_path, capsys):
     path = mutated_scenario(tmp_path, "paper_convex", shift_bracket)
     assert run(["--scenario", path, "--out", str(tmp_path / "out"), "equilibrium"]) == 5
     assert "error[bracket]: no sign change" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pairs,message",
+    [
+        ([[0, 0], [0, 0]], "two-point fit needs distinct quantities, got 0.0 twice"),
+        ([[35, 200], [70, 200]], "two-point fit needs distinct quantities, got 200.0 twice"),
+        ([[35, 200], [35, 400]], "supply slope must be positive: 0.0"),
+        ([[-5, 200], [70, 400]], "price must be positive: -79.625"),
+    ],
+    ids=["zero_pairs", "same_quantity", "same_price", "negative_price"],
+)
+def test_supply_errors_name_their_json_path(tmp_path, capsys, pairs, message):
+    path = mutated_scenario(tmp_path, "paper_convex", equilibrium_edit("supply1", pairs))
+    assert run(["--scenario", path, "--out", str(tmp_path / "out"), "equilibrium"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error[invalid-parameter]: analysis.equilibrium.supply1: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit,command,code",
+    [
+        (equilibrium_edit("bracket", [3000, 4000]), "equilibrium", 5),
+        (equilibrium_edit("supply1", [[-5, 200], [70, 400]]), "equilibrium", 3),
+        (None, "reproduce", 2),
+    ],
+    ids=["bracket", "negative_price", "battery_file_exists"],
+)
+def test_failing_command_writes_nothing(tmp_path, capsys, edit, command, code):
+    out = tmp_path / "out"
+    argv = ["--out", str(out), command]
+    if edit is None:  # one battery file already there, no --overwrite
+        out.mkdir()
+        (out / "domain_ranking.csv").write_text("rank\n", encoding="utf-8")
+    else:
+        argv = ["--scenario", mutated_scenario(tmp_path, "paper_convex", edit)] + argv
+    before = snapshot(out)
+    assert run(argv) == code
+    assert "wrote" not in capsys.readouterr().out
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize(
+    "case", ["out_is_file", "out_under_file", "scenario_is_dir", "scenario_not_utf8"]
+)
+def test_os_and_encoding_errors_exit_cleanly(tmp_path, capsys, case):
+    regular = tmp_path / "regular"
+    regular.write_text("x", encoding="utf-8")
+    scenario, out = CONVEX, tmp_path / "out"
+    if case == "out_is_file":
+        out = regular
+    elif case == "out_under_file":
+        out = regular / "out"
+    elif case == "scenario_is_dir":
+        scenario = str(tmp_path)
+    else:
+        scenario = str(tmp_path / "bad.scn")
+        (tmp_path / "bad.scn").write_bytes(b"\xff\xfe{}")
+    code = run(["--scenario", scenario, "--out", str(out), "respond"])
+    captured = capsys.readouterr()
+    if case == "scenario_not_utf8":
+        assert code == 3
+        assert captured.err.startswith(f"error[schema]: {scenario}: not valid UTF-8:")
+    else:
+        assert code == 2
+        assert captured.err.startswith("error[usage]: [Errno")
+    assert captured.out == ""
+    assert regular.read_text(encoding="utf-8") == "x"
 
 
 def test_seed_flag_must_fit_64_bits(tmp_path, capsys):
