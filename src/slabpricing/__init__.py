@@ -8,23 +8,18 @@ oracle; and supply-demand equilibrium. Driven from scenario files via the
 """
 
 from .demand import (
-    AggregateDemand,
     Consumer,
     DomainKind,
-    DomainSpec,
-    MixedDemand,
     Offer,
     PairDemand,
     Slab,
     TwoStageDemand,
-    affordable,
     aggregate_demand,
     budget_exhausting_qty,
     classify_domain,
     demand_convex_pair,
     demand_mixed_pair,
     demand_nonconvex_pair,
-    make_domain,
     pooled_consumer,
 )
 from .equilibrium import (
@@ -54,19 +49,14 @@ from .price_response import (
     willingness_to_pay,
 )
 from .revenue import (
-    DomainComparison,
-    DomainRevenue,
     PlanSlab,
     RevenueReport,
     SlabContribution,
     SlabPlan,
     best_by_slab_count,
-    compare_domains,
     discount_ladder_plans,
     expected_revenue,
-    optimize_slab_structure,
     plan_for_consumer,
-    purchase_probability,
 )
 from .scenario import (
     BUNDLED_SCENARIOS,
@@ -82,20 +72,15 @@ from .simulate import MCEstimate, SimConfig, estimate_expected_revenue_mc, simul
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateDemand",
     "BracketError",
     "BUNDLED_SCENARIOS",
     "Consumer",
-    "DomainComparison",
     "DomainKind",
-    "DomainRevenue",
-    "DomainSpec",
     "EquilibriumPoint",
     "FitMethod",
     "InfeasibleError",
     "InvalidParameterError",
     "MCEstimate",
-    "MixedDemand",
     "NumericalError",
     "Offer",
     "PairDemand",
@@ -113,14 +98,12 @@ __all__ = [
     "SupplyLine",
     "TwoStageDemand",
     "WTP_REFERENCE_PRICES",
-    "affordable",
     "aggregate_demand",
     "arc_elasticity",
     "best_by_slab_count",
     "budget_exhausting_qty",
     "bundled_scenario_path",
     "classify_domain",
-    "compare_domains",
     "demand_convex_pair",
     "demand_mixed_pair",
     "demand_nonconvex_pair",
@@ -129,14 +112,11 @@ __all__ = [
     "expected_revenue",
     "fit_supply_line",
     "hazard_rate",
-    "make_domain",
-    "optimize_slab_structure",
     "parse_scenario",
     "plan_for_consumer",
     "point_elasticity",
     "pooled_consumer",
     "price_response",
-    "purchase_probability",
     "response_slope",
     "scenario_from_dict",
     "scenario_to_dict",

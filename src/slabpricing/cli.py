@@ -10,7 +10,9 @@ Subcommands:
     simulate     Monte Carlo check of the revenue report
     reproduce    full battery over the bundled scenarios
 
-Global flags: --scenario <path>, --out <dir>, --seed <u64>, --overwrite.
+Global flags: --scenario <path> (every command but reproduce), --out <dir>,
+--seed <u64> (simulate and reproduce only), --overwrite; passing a flag the
+command does not read is a usage error.
 Each command returns its CSV tables and ``write_tables`` writes all of them
 or none, so a failing command writes no file (unless the operating system
 fails partway through the writes). Numbers are written with 10 significant
@@ -30,7 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .demand import own_and_cross
+from .demand import classify_domain, own_and_cross
 from .equilibrium import FitMethod, fit_supply_line, solve_equilibrium
 from .errors import InvalidParameterError, NumericalError, PricingError
 from .price_response import (
@@ -47,7 +49,6 @@ from .revenue import (
     SlabPlan,
     best_by_slab_count,
     best_of,
-    compare_domains,
     discount_ladder_plans,
     expected_revenue,
     plan_for_consumer,
@@ -376,17 +377,15 @@ def _reproduce(seed_flag: int | None) -> list[Table]:
     tables.append(("revenue_reports.csv", _REVENUE_HEADER, revenue_rows))
     tables.append(("mc_validation.csv", _MC_HEADER, mc_rows))
 
-    ranking_sources = ("paper_convex", "paper_mixed", "paper_nonconvex")
-    comparison = compare_domains(
-        [scenarios[name].domain for name in ranking_sources],
-        [reports[name] for name in ranking_sources],
-        labels=list(ranking_sources),
+    # best first; the stable sort keeps this order on equal totals
+    ranked = sorted(
+        ("paper_convex", "paper_mixed", "paper_nonconvex"), key=lambda name: -reports[name].total
     )
     rank_header = ["rank", "scenario", "domain_kind", "expected_revenue"]
-    rank_rows = [
-        [rank, entry.label, entry.domain.kind.value, entry.report.total]
-        for rank, entry in enumerate(comparison.ranked, start=1)
-    ]
+    rank_rows = []
+    for rank, name in enumerate(ranked, start=1):
+        kind = classify_domain(scenarios[name].offer1, scenarios[name].offer2)
+        rank_rows.append([rank, name, kind.value, reports[name].total])
     tables.append(("domain_ranking.csv", rank_header, rank_rows))
     return tables
 
@@ -425,7 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _tables(args: argparse.Namespace) -> list[Table]:
     """The tables of the command the arguments name."""
     tables_of, _ = _COMMANDS[args.command]
+    if args.seed is not None and args.command not in ("simulate", "reproduce"):
+        raise UsageError(f"{args.command} does not read --seed")
     if args.command == "reproduce":
+        if args.scenario is not None:
+            raise UsageError("reproduce does not read --scenario: it runs the bundled scenarios")
         return tables_of(args.seed)
     if not args.scenario:
         raise UsageError("--scenario is required for this command")

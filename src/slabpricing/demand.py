@@ -197,42 +197,14 @@ def classify_domain(offer1: Offer, offer2: Offer) -> DomainKind:
 
 
 @dataclass(frozen=True)
-class DomainSpec:
-    """A pair of offers plus their convexity classification."""
-
-    offer1: Offer
-    offer2: Offer
-    kind: DomainKind
-
-    def __post_init__(self) -> None:
-        actual = classify_domain(self.offer1, self.offer2)
-        if actual is not self.kind:
-            raise InvalidParameterError(
-                f"classification {self.kind.value} does not match offers "
-                f"({actual.value})"
-            )
-
-
-def make_domain(offer1: Offer, offer2: Offer) -> DomainSpec:
-    return DomainSpec(offer1, offer2, classify_domain(offer1, offer2))
-
-
-def affordable(consumer: Consumer, offer1: Offer, offer2: Offer) -> bool:
-    """Whether the minimum orders fit the budget at the lowest-slab prices."""
-    cost = (
-        offer1.slabs[0].unit_price * consumer.min_qty1
-        + offer2.slabs[0].unit_price * consumer.min_qty2
-    )
-    return cost <= consumer.budget
-
-
-@dataclass(frozen=True)
 class PairDemand:
     """Demand for both commodities at posted prices.
 
     raw_x1/raw_x2 keep the unclamped values; when either is negative the
     published quantity is clamped to 0 and ``infeasible`` is set so callers
-    can tell structural infeasibility from a true zero.
+    can tell structural infeasibility from a true zero. In a mixed domain
+    ``chosen_slab`` is the 0-based rung of the multi-slab offer the demand
+    buys at; it is None in the other domains.
     """
 
     x1: float
@@ -240,6 +212,19 @@ class PairDemand:
     infeasible: bool
     raw_x1: float
     raw_x2: float
+    chosen_slab: int | None = None
+
+
+def _pair(raw_x1: float, raw_x2: float, chosen_slab: int | None = None) -> PairDemand:
+    """Clamp negative raw quantities to 0 and flag them as infeasible."""
+    return PairDemand(
+        x1=max(0.0, raw_x1),
+        x2=max(0.0, raw_x2),
+        infeasible=raw_x1 < 0 or raw_x2 < 0,
+        raw_x1=raw_x1,
+        raw_x2=raw_x2,
+        chosen_slab=chosen_slab,
+    )
 
 
 def _require_positive_price(value: float, label: str) -> None:
@@ -273,30 +258,7 @@ def demand_convex_pair(consumer: Consumer, p1: float, p2: float) -> PairDemand:
         + phi * (m / p2)
         - phi * (p1 / p2) * consumer.min_qty1
     )
-    return PairDemand(
-        x1=max(0.0, raw_x1),
-        x2=max(0.0, raw_x2),
-        infeasible=raw_x1 < 0 or raw_x2 < 0,
-        raw_x1=raw_x1,
-        raw_x2=raw_x2,
-    )
-
-
-@dataclass(frozen=True)
-class MixedDemand:
-    """Demand when exactly one commodity is slab-priced.
-
-    chosen_slab is the 0-based index into the multi-slab offer's rungs that
-    the consumer buys at; unit_price2 is that rung's price.
-    """
-
-    x1: float
-    x2: float
-    chosen_slab: int
-    unit_price2: float
-    infeasible: bool
-    raw_x1: float
-    raw_x2: float
+    return _pair(raw_x1, raw_x2)
 
 
 def _select_slab(consumer: Consumer, linear_price: float, slabbed: Offer) -> int:
@@ -318,12 +280,12 @@ def _select_slab(consumer: Consumer, linear_price: float, slabbed: Offer) -> int
     return best
 
 
-def demand_mixed_pair(consumer: Consumer, offer1: Offer, offer2: Offer) -> MixedDemand:
+def demand_mixed_pair(consumer: Consumer, offer1: Offer, offer2: Offer) -> PairDemand:
     """Demand when offer1 is linear-price and offer2 is slab-priced.
 
-    The consumer buys commodity 2 at the cheapest affordable rung (ties to
-    the smaller min_qty) and then splits the budget like the convex case at
-    that rung's price:
+    The consumer buys commodity 2 at the cheapest affordable rung
+    ``chosen_slab`` (ties to the smaller min_qty) and then splits the budget
+    like the convex case at that rung's price:
 
         x1 = (mu / p1) * [(m - p2k * x2min) - p1 * x1min] + x1min
         x2 = (phi / p2k) * [(m - p1 * x1min) - p2k * x2min] + x2min
@@ -345,15 +307,7 @@ def demand_mixed_pair(consumer: Consumer, offer1: Offer, offer2: Offer) -> Mixed
     m = consumer.budget
     raw_x1 = (mu / p1) * ((m - p2k * consumer.min_qty2) - p1 * consumer.min_qty1) + consumer.min_qty1
     raw_x2 = (phi / p2k) * ((m - p1 * consumer.min_qty1) - p2k * consumer.min_qty2) + consumer.min_qty2
-    return MixedDemand(
-        x1=max(0.0, raw_x1),
-        x2=max(0.0, raw_x2),
-        chosen_slab=k,
-        unit_price2=p2k,
-        infeasible=raw_x1 < 0 or raw_x2 < 0,
-        raw_x1=raw_x1,
-        raw_x2=raw_x2,
-    )
+    return _pair(raw_x1, raw_x2, k)
 
 
 @dataclass(frozen=True)
@@ -408,19 +362,6 @@ def demand_nonconvex_pair(consumer: Consumer, offer1: Offer, offer2: Offer) -> T
         x1_refined=budget_exhausting_qty(m, p2_1, x2, p1_1),
         x2_refined=budget_exhausting_qty(m, p1_2, x1, p2_2),
     )
-
-
-@dataclass(frozen=True)
-class AggregateDemand:
-    """Market-level demand: summed budgets/minimums, strongest motive."""
-
-    x1: float
-    x2: float
-    kind: DomainKind
-    chosen_slab2: int | None
-    infeasible: bool
-    raw_x1: float
-    raw_x2: float
 
 
 def pooled_consumer(market: Sequence[Consumer]) -> Consumer:
@@ -504,10 +445,11 @@ def _aggregate_mixed(
 
 def aggregate_demand(
     market: Sequence[Consumer],
-    domain: DomainSpec,
+    offer1: Offer,
+    offer2: Offer,
     prices: tuple[float, float] | None = None,
-) -> AggregateDemand:
-    """Demand of a whole market under one domain.
+) -> PairDemand:
+    """Demand of a whole market in the domain the two offers span.
 
     Budgets and minimum quantities add across consumers; motives aggregate
     by max. ``prices`` overrides the posted unit prices for the convex case
@@ -515,35 +457,27 @@ def aggregate_demand(
     """
     market = list(market)
     pooled = pooled_consumer(market)
-    kind = domain.kind
+    kind = classify_domain(offer1, offer2)
     if prices is not None and kind is not DomainKind.CONVEX:
         raise InvalidParameterError("price override applies only to convex domains")
 
     chosen: int | None = None
     if kind is DomainKind.CONVEX:
         p1, p2 = prices if prices is not None else (
-            domain.offer1.slabs[0].unit_price,
-            domain.offer2.slabs[0].unit_price,
+            offer1.slabs[0].unit_price,
+            offer2.slabs[0].unit_price,
         )
         pair = demand_convex_pair(pooled, p1, p2)
         raw_x1, raw_x2 = pair.raw_x1, pair.raw_x2
     elif kind is DomainKind.MIXED:
         # orient the market so the linear-price commodity sits in slot 1
-        linear = 1 if domain.offer1.is_linear_price else 2
-        offers = own_and_cross(linear, domain.offer1, domain.offer2)
+        linear = 1 if offer1.is_linear_price else 2
+        offers = own_and_cross(linear, offer1, offer2)
         views = [c.oriented(linear) for c in market]
         x_linear, x_slabbed, chosen = _aggregate_mixed(views, pooled.oriented(linear), *offers)
         raw_x1, raw_x2 = own_and_cross(linear, x_linear, x_slabbed)
     else:
-        staged = demand_nonconvex_pair(pooled, domain.offer1, domain.offer2)
+        staged = demand_nonconvex_pair(pooled, offer1, offer2)
         raw_x1, raw_x2 = staged.x1_initial, staged.x2_initial
 
-    return AggregateDemand(
-        x1=max(0.0, raw_x1),
-        x2=max(0.0, raw_x2),
-        kind=kind,
-        chosen_slab2=chosen,
-        infeasible=raw_x1 < 0 or raw_x2 < 0,
-        raw_x1=raw_x1,
-        raw_x2=raw_x2,
-    )
+    return _pair(raw_x1, raw_x2, chosen)

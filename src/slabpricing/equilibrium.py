@@ -26,18 +26,15 @@ class FitMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class SupplyLine:
-    """price = slope * qty + intercept, with the pairs it was fitted from."""
+    """price = slope * qty + intercept, and the method that fitted it."""
 
     slope: float
     intercept: float
     fit_method: FitMethod
-    source_pairs: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         if not self.slope > 0:
             raise InvalidParameterError(f"supply slope must be positive: {self.slope}")
-        if len(self.source_pairs) < 2:
-            raise InvalidParameterError("supply line needs at least two source pairs")
 
     def price_at(self, qty: float) -> float:
         return self.slope * qty + self.intercept
@@ -78,7 +75,7 @@ def fit_supply_line(
             raise InvalidParameterError("least-squares fit needs distinct quantities")
         slope = sum((q - q_bar) * (p - p_bar) for p, q in pairs) / sqq
         intercept = p_bar - slope * q_bar
-    return SupplyLine(slope=slope, intercept=intercept, fit_method=method, source_pairs=pairs)
+    return SupplyLine(slope=slope, intercept=intercept, fit_method=method)
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,6 @@ class ResponseContext:
         if not self.own_min_qty > 0 or not self.cross_min_qty > 0:
             raise InvalidParameterError("minimum quantities must be positive")
 
-    @property
-    def discretionary_budget(self) -> float:
-        """Money left after the other commodity's minimum is covered."""
-        return self.budget - self.cross_price * self.cross_min_qty
-
 
 @dataclass(frozen=True)
 class ResponsePoint:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .demand import Consumer, DomainSpec, Offer
+from .demand import Consumer, Offer
 from .errors import InvalidParameterError
 from .price_response import ResponseContext, price_response
 
@@ -100,23 +100,6 @@ class RevenueReport:
     per_slab: tuple[SlabContribution, ...]
     total: float
     plan: SlabPlan
-    diagnostic: str = ""
-
-
-def purchase_probability(acceptance_probs: Sequence[float], k: int) -> float:
-    """Probability that the walk buys at slab k (1-based).
-
-    The first k-1 slabs must be rejected, then slab k accepted:
-    prod_{j<k} (1 - lam_j) * lam_k.
-    """
-    if not 1 <= k <= len(acceptance_probs):
-        raise InvalidParameterError(
-            f"slab index {k} out of range 1..{len(acceptance_probs)}"
-        )
-    reach = 1.0
-    for lam in acceptance_probs[: k - 1]:
-        reach *= 1.0 - lam
-    return reach * acceptance_probs[k - 1]
 
 
 def expected_revenue(plan: SlabPlan) -> RevenueReport:
@@ -125,18 +108,15 @@ def expected_revenue(plan: SlabPlan) -> RevenueReport:
     A slab's demand is the price response of its own context at its price.
     Every slab gets a report line; rungs beyond the attention span carry
     reach probability 0 and contribute exactly 0, even where their demand is
-    not finite, since no walk reaches them. When demand is infeasible (or zero) at every slab
-    the report totals 0 and says so in the diagnostic.
+    not finite, since no walk reaches them. A line's reach_prob times its
+    acceptance_prob is the probability that the walk buys at that slab.
     """
     lines = []
     total = 0.0
     reach = 1.0
-    any_positive = False
     for k, slab in enumerate(plan.slabs, start=1):
         reachable = k <= plan.reachable_slabs
         point = price_response(slab.context, slab.price)
-        if point.qty > 0.0:
-            any_positive = True
         lam = plan.acceptance_probs[k - 1]
         reach_k = reach if reachable else 0.0
         contribution = reach_k * lam * point.qty * slab.price if reachable else 0.0
@@ -153,8 +133,7 @@ def expected_revenue(plan: SlabPlan) -> RevenueReport:
         total += contribution
         if reachable:
             reach *= 1.0 - lam
-    diagnostic = "" if any_positive else "zero or infeasible demand at every slab"
-    return RevenueReport(per_slab=tuple(lines), total=total, plan=plan, diagnostic=diagnostic)
+    return RevenueReport(per_slab=tuple(lines), total=total, plan=plan)
 
 
 Evaluated = tuple[SlabPlan, RevenueReport]
@@ -174,15 +153,6 @@ def best_of(entries: Iterable[Evaluated]) -> Evaluated:
     if not entries:
         raise InvalidParameterError("no candidate plans supplied")
     return min(entries, key=_preference)
-
-
-def optimize_slab_structure(candidate_plans: Iterable[SlabPlan]) -> Evaluated:
-    """Exhaustively evaluate candidates and return the revenue maximizer.
-
-    Ties break to fewer slabs, then to the lower first-slab price, so the
-    winner does not depend on candidate order.
-    """
-    return best_of(best_by_slab_count(candidate_plans).values())
 
 
 def best_by_slab_count(candidate_plans: Iterable[SlabPlan]) -> dict[int, Evaluated]:
@@ -267,47 +237,3 @@ def plan_for_consumer(
         acceptance_probs=_fit_length(consumer.acceptance_probs, len(slabs)),
         attention_span=consumer.attention_span,
     )
-
-
-@dataclass(frozen=True)
-class DomainRevenue:
-    label: str
-    domain: DomainSpec
-    report: RevenueReport
-
-
-@dataclass(frozen=True)
-class DomainComparison:
-    """Domains ranked by measured expected revenue, best first.
-
-    The ranking records what the numbers say; no ordering across domain
-    kinds is assumed or asserted.
-    """
-
-    ranked: tuple[DomainRevenue, ...]
-
-
-def compare_domains(
-    domains: Sequence[DomainSpec],
-    reports: Sequence[RevenueReport],
-    labels: Sequence[str] | None = None,
-) -> DomainComparison:
-    """Rank domains by the total of each one's revenue report.
-
-    One already computed report per domain; nothing is re-evaluated.
-    Labels default to the domain kinds. Equal totals keep input order.
-    """
-    if len(domains) < 2:
-        raise InvalidParameterError("need at least two domains to compare")
-    if len(reports) != len(domains):
-        raise InvalidParameterError("need exactly one report per domain")
-    if labels is None:
-        labels = [d.kind.value for d in domains]
-    if len(labels) != len(domains):
-        raise InvalidParameterError("need exactly one label per domain")
-    entries = [
-        DomainRevenue(label=label, domain=domain, report=report)
-        for label, domain, report in zip(labels, domains, reports)
-    ]
-    order = sorted(range(len(entries)), key=lambda i: (-entries[i].report.total, i))
-    return DomainComparison(ranked=tuple(entries[i] for i in order))

@@ -28,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from .demand import Consumer, DomainSpec, Offer, Slab, make_domain
+from .demand import Consumer, Offer, Slab
 from .equilibrium import FitMethod
 from .errors import InvalidParameterError, SchemaError
 
@@ -200,10 +200,6 @@ class Scenario:
     optimizer: OptimizerRequest | None = None
     equilibrium: EquilibriumRequest | None = None
     simulation: SimulationRequest | None = None
-
-    @property
-    def domain(self) -> DomainSpec:
-        return make_domain(self.offer1, self.offer2)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from slabpricing import (
     expected_revenue,
     fit_supply_line,
     hazard_rate,
-    make_domain,
     parse_scenario,
     point_elasticity,
     price_response,

@@ -72,6 +72,28 @@ def test_missing_scenario_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[usage]:")
 
 
+def test_reproduce_refuses_a_scenario(tmp_path, capsys):
+    # the battery runs the bundled scenarios; a user's scenario would be ignored
+    out = tmp_path / "out"
+    assert run(["--scenario", str(tmp_path / "absent.scn"), "--out", str(out), "reproduce"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error[usage]: reproduce does not read --scenario: it runs the bundled scenarios\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["demand", "respond", "revenue", "optimize", "equilibrium"])
+def test_seed_is_refused_where_unread(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(["--scenario", CONVEX, "--seed", "5", "--out", str(out), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[usage]: {command} does not read --seed\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_missing_analysis_request(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run(["--scenario", CONVEX, "--out", out, "optimize"]) == 2

@@ -11,19 +11,16 @@ from hypothesis import strategies as st
 from slabpricing import (
     Consumer,
     DomainKind,
-    DomainSpec,
     InfeasibleError,
     InvalidParameterError,
     Offer,
     Slab,
-    affordable,
     aggregate_demand,
     budget_exhausting_qty,
     classify_domain,
     demand_convex_pair,
     demand_mixed_pair,
     demand_nonconvex_pair,
-    make_domain,
 )
 from conftest import make_consumer
 
@@ -48,13 +45,6 @@ def test_domain_classification(linear_offer1, linear_offer2, rung_offer2, steppe
     assert classify_domain(linear_offer1, rung_offer2) is DomainKind.MIXED
     assert classify_domain(rung_offer2, linear_offer1) is DomainKind.MIXED
     assert classify_domain(stepped_offer1, rung_offer2) is DomainKind.NON_CONVEX
-
-
-def test_domain_spec_rejects_wrong_classification(linear_offer1, linear_offer2):
-    with pytest.raises(InvalidParameterError):
-        DomainSpec(linear_offer1, linear_offer2, DomainKind.MIXED)
-    spec = make_domain(linear_offer1, linear_offer2)
-    assert spec.kind is DomainKind.CONVEX
 
 
 def test_consumer_invariants():
@@ -94,12 +84,6 @@ def test_per_slab_motive_lookup_repeats_the_last_entry():
     assert c.motive1(1) == 0.5
     assert c.motive1(7) == 0.5
     assert c.motive2(3) == 0.4
-
-
-def test_affordability_uses_first_slab_prices(linear_offer1, rung_offer2):
-    # 0.175 * 200 + 0.2 * 100 = 55
-    assert affordable(make_consumer(budget=55.0, min2=100.0), linear_offer1, rung_offer2)
-    assert not affordable(make_consumer(budget=54.0, min2=100.0), linear_offer1, rung_offer2)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +146,7 @@ def test_mixed_pair_frozen_values(linear_offer1, rung_offer2):
     c = make_consumer(min2=100.0)
     got = demand_mixed_pair(c, linear_offer1, rung_offer2)
     assert got.chosen_slab == 0
-    assert got.unit_price2 == 0.2
+    assert rung_offer2.slabs[got.chosen_slab].unit_price == 0.2
     # x1 = (0.5/0.175)*((1000 - 0.2*100) - 0.175*200) + 200 = 2900
     assert got.x1 == 2900.0
     assert got.x2 == 2462.5
@@ -179,7 +163,7 @@ def test_mixed_pair_picks_cheapest_affordable_rung(linear_offer1):
     cheaper_top = Offer("c2", (Slab(0.25, 100.0), Slab(0.2, 250.0)), "g")
     got = demand_mixed_pair(make_consumer(min2=100.0), linear_offer1, cheaper_top)
     assert got.chosen_slab == 1
-    assert got.unit_price2 == 0.2
+    assert cheaper_top.slabs[got.chosen_slab].unit_price == 0.2
 
 
 def test_mixed_pair_price_tie_goes_to_smaller_minimum(linear_offer1):
@@ -197,8 +181,9 @@ def test_mixed_pair_unaffordable_everywhere_raises(linear_offer1, rung_offer2):
 def test_mixed_full_motive_exhausts_the_budget(linear_offer1, rung_offer2):
     c = make_consumer(mu=1.0, phi=1.0, min2=100.0)
     got = demand_mixed_pair(c, linear_offer1, rung_offer2)
-    assert 0.175 * got.x1 + got.unit_price2 * 100.0 == pytest.approx(1000.0, rel=1e-12)
-    assert got.unit_price2 * got.x2 + 0.175 * 200.0 == pytest.approx(1000.0, rel=1e-12)
+    p2k = rung_offer2.slabs[got.chosen_slab].unit_price
+    assert 0.175 * got.x1 + p2k * 100.0 == pytest.approx(1000.0, rel=1e-12)
+    assert p2k * got.x2 + 0.175 * 200.0 == pytest.approx(1000.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +287,19 @@ def test_aggregate_convex_pools_budgets_and_takes_the_top_motive(
 ):
     a = make_consumer(mu=0.3, phi=0.3, budget=500.0)
     b = make_consumer(mu=0.6, phi=0.6, budget=500.0)
-    dom = make_domain(linear_offer1, linear_offer2)
-    agg = aggregate_demand([a, b], dom)
+    agg = aggregate_demand([a, b], linear_offer1, linear_offer2)
     # pooled: m=1000, mins 400, motive 0.6
     # x1 = 0.4*400 + 0.6*1000/0.175 - 0.6*(0.19/0.175)*400 = 3328
     assert agg.x1 == pytest.approx(3328.0, rel=1e-12)
-    assert agg.kind is DomainKind.CONVEX
-    assert agg.chosen_slab2 is None
+    assert classify_domain(linear_offer1, linear_offer2) is DomainKind.CONVEX
+    assert agg.chosen_slab is None
 
 
 def test_aggregate_mixed_matches_the_order_statistic_form(linear_offer1, rung_offer2):
     a = make_consumer(mu=0.3, phi=0.4, budget=500.0, min1=150.0, min2=80.0)
     b = make_consumer(mu=0.6, phi=0.2, budget=700.0, min1=100.0, min2=120.0)
-    agg = aggregate_demand([a, b], make_domain(linear_offer1, rung_offer2))
-    assert agg.chosen_slab2 == 0
+    agg = aggregate_demand([a, b], linear_offer1, rung_offer2)
+    assert agg.chosen_slab == 0
     p1, p2k = 0.175, 0.2
     # top motive holder's own minimum at the top motive, the rest at the
     # runner-up, total minimums at (1 - top)
@@ -329,24 +313,27 @@ def test_aggregate_mixed_matches_the_order_statistic_form(linear_offer1, rung_of
 
 def test_aggregate_mixed_swapped_orientation(linear_offer1, rung_offer2):
     """With the slabbed offer first, quantities come back crosswise from the
-    same computation run on swapped commodities."""
+    same computation run on swapped commodities, at the same rung."""
     a = make_consumer(mu=0.4, phi=0.3, budget=500.0, min1=80.0, min2=150.0)
     b = make_consumer(mu=0.2, phi=0.6, budget=700.0, min1=120.0, min2=100.0)
-    swapped = aggregate_demand([a, b], make_domain(rung_offer2, linear_offer1))
-    mirrored = aggregate_demand(
-        [make_consumer(mu=0.3, phi=0.4, budget=500.0, min1=150.0, min2=80.0),
-         make_consumer(mu=0.6, phi=0.2, budget=700.0, min1=100.0, min2=120.0)],
-        make_domain(linear_offer1, rung_offer2),
-    )
-    assert swapped.raw_x1 == mirrored.raw_x2
-    assert swapped.raw_x2 == mirrored.raw_x1
+    mirrored_market = [
+        make_consumer(mu=0.3, phi=0.4, budget=500.0, min1=150.0, min2=80.0),
+        make_consumer(mu=0.6, phi=0.2, budget=700.0, min1=100.0, min2=120.0),
+    ]
+    cheaper_top = Offer("c2", (Slab(0.25, 100.0), Slab(0.2, 250.0)), "g")
+    for slabbed, rung in ((rung_offer2, 0), (cheaper_top, 1)):
+        swapped = aggregate_demand([a, b], slabbed, linear_offer1)
+        mirrored = aggregate_demand(mirrored_market, linear_offer1, slabbed)
+        assert swapped.raw_x1 == mirrored.raw_x2
+        assert swapped.raw_x2 == mirrored.raw_x1
+        assert swapped.chosen_slab == mirrored.chosen_slab == rung
 
 
 def test_single_consumer_aggregate_equals_the_individual_formula(
     linear_offer1, rung_offer2
 ):
     c = make_consumer(mu=0.3, phi=0.4, budget=500.0, min1=150.0, min2=80.0)
-    agg = aggregate_demand([c], make_domain(linear_offer1, rung_offer2))
+    agg = aggregate_demand([c], linear_offer1, rung_offer2)
     ind = demand_mixed_pair(c, linear_offer1, rung_offer2)
     assert agg.raw_x1 == pytest.approx(ind.raw_x1, rel=1e-12)
     assert agg.raw_x2 == pytest.approx(ind.raw_x2, rel=1e-12)
@@ -359,13 +346,13 @@ def test_clone_markets_scale_linearly(
     """A market of n identical consumers demands exactly n times one
     consumer's demand, in every domain class."""
     c = make_consumer(mu=0.45, phi=0.35, budget=400.0, min1=50.0, min2=60.0)
-    for dom in (
-        make_domain(linear_offer1, linear_offer2),
-        make_domain(linear_offer1, rung_offer2),
-        make_domain(stepped_offer1, stepped_offer2),
+    for offers in (
+        (linear_offer1, linear_offer2),
+        (linear_offer1, rung_offer2),
+        (stepped_offer1, stepped_offer2),
     ):
-        one = aggregate_demand([c], dom)
-        many = aggregate_demand([c] * n, dom)
+        one = aggregate_demand([c], *offers)
+        many = aggregate_demand([c] * n, *offers)
         assert many.raw_x1 == pytest.approx(n * one.raw_x1, rel=1e-12)
         assert many.raw_x2 == pytest.approx(n * one.raw_x2, rel=1e-12)
 
@@ -387,9 +374,8 @@ def test_neutral_consumer_leaves_the_aggregate_unchanged(linear_offer1, rung_off
         attention_span=1,
         acceptance_probs=(0.0,),
     )
-    dom = make_domain(linear_offer1, rung_offer2)
-    base = aggregate_demand([a, b], dom)
-    padded = aggregate_demand([a, b, neutral], dom)
+    base = aggregate_demand([a, b], linear_offer1, rung_offer2)
+    padded = aggregate_demand([a, b, neutral], linear_offer1, rung_offer2)
     assert padded.raw_x1 == pytest.approx(base.raw_x1, rel=1e-12)
     assert padded.raw_x2 == pytest.approx(base.raw_x2, rel=1e-12)
 
@@ -400,8 +386,8 @@ def test_tied_top_motives_make_the_order_irrelevant(linear_offer1, rung_offer2):
     market order cannot move the answer."""
     a = make_consumer(mu=0.6, phi=0.2, budget=500.0, min1=150.0, min2=80.0)
     b = make_consumer(mu=0.6, phi=0.2, budget=700.0, min1=100.0, min2=120.0)
-    agg = aggregate_demand([a, b], make_domain(linear_offer1, rung_offer2))
-    flipped = aggregate_demand([b, a], make_domain(linear_offer1, rung_offer2))
+    agg = aggregate_demand([a, b], linear_offer1, rung_offer2)
+    flipped = aggregate_demand([b, a], linear_offer1, rung_offer2)
     p1, p2k = 0.175, 0.2
     x1_hand = (0.6 * 1200.0 / p1 - 0.6 * (p2k / p1) * 80.0
                - 0.6 * (p2k / p1) * 120.0 + 0.4 * 250.0)
@@ -411,24 +397,21 @@ def test_tied_top_motives_make_the_order_irrelevant(linear_offer1, rung_offer2):
 
 
 def test_price_override_only_for_convex(linear_offer1, linear_offer2, rung_offer2):
-    dom = make_domain(linear_offer1, linear_offer2)
-    swept = aggregate_demand([make_consumer()], dom, prices=(1.0, 2.0))
+    swept = aggregate_demand([make_consumer()], linear_offer1, linear_offer2, prices=(1.0, 2.0))
     direct = demand_convex_pair(make_consumer(), 1.0, 2.0)
     assert swept.raw_x1 == direct.raw_x1
     with pytest.raises(InvalidParameterError):
-        aggregate_demand(
-            [make_consumer()], make_domain(linear_offer1, rung_offer2), prices=(1.0, 2.0)
-        )
+        aggregate_demand([make_consumer()], linear_offer1, rung_offer2, prices=(1.0, 2.0))
 
 
 def test_aggregate_rejects_empty_market(linear_offer1, linear_offer2):
     with pytest.raises(InvalidParameterError):
-        aggregate_demand([], make_domain(linear_offer1, linear_offer2))
+        aggregate_demand([], linear_offer1, linear_offer2)
 
 
 def test_aggregate_nonconvex_uses_stage_one(stepped_offer1, stepped_offer2):
     c = make_consumer(min1=250.0, min2=200.0)
-    agg = aggregate_demand([c], make_domain(stepped_offer1, stepped_offer2))
+    agg = aggregate_demand([c], stepped_offer1, stepped_offer2)
     staged = demand_nonconvex_pair(c, stepped_offer1, stepped_offer2)
     assert agg.x1 == staged.x1_initial
     assert agg.x2 == staged.x2_initial

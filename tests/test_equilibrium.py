@@ -47,7 +47,6 @@ def test_two_point_fit_passes_through_the_first_two_pairs():
     assert line.slope == 0.175
     assert line.intercept == 0.0
     assert line.fit_method is FitMethod.TWO_POINT
-    assert line.source_pairs == S1_PAIRS
     assert line.price_at(400.0) == 70.0
 
 
@@ -55,7 +54,6 @@ def test_two_point_fit_ignores_trailing_pairs():
     bent = fit_supply_line(((35.0, 200.0), (70.0, 400.0), (1000.0, 600.0)))
     assert bent.slope == 0.175
     assert bent.intercept == 0.0
-    assert bent.source_pairs[2] == (1000.0, 600.0)
 
 
 def test_second_supply_fits():
@@ -98,7 +96,7 @@ def test_fit_validation():
         # downward-sloping supply is rejected at construction
         fit_supply_line(((70.0, 200.0), (35.0, 400.0)))
     with pytest.raises(InvalidParameterError):
-        SupplyLine(slope=0.175, intercept=0.0, fit_method=FitMethod.TWO_POINT, source_pairs=((35.0, 200.0),))
+        SupplyLine(slope=0.0, intercept=0.0, fit_method=FitMethod.TWO_POINT)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +194,7 @@ def test_non_finite_demand_at_the_bracket_fails_at_once(where):
 
 def test_non_finite_demand_at_a_midpoint_names_it():
     # finite and straddling at both ends, NaN strictly inside the bracket
-    supply = SupplyLine(1.0, 0.0, FitMethod.TWO_POINT, ((1.0, 1.0), (2.0, 2.0)))
+    supply = SupplyLine(1.0, 0.0, FitMethod.TWO_POINT)
     calls = []
 
     def demand(price: float) -> float:
@@ -211,7 +209,7 @@ def test_non_finite_demand_at_a_midpoint_names_it():
 def test_jump_discontinuity_is_an_honest_failure():
     # demand drops from 1000 to 0 across the crossing, so no midpoint can
     # ever meet the residual bound and the solver must say so
-    supply = SupplyLine(1.0, 0.0, FitMethod.TWO_POINT, ((1.0, 1.0), (2.0, 2.0)))
+    supply = SupplyLine(1.0, 0.0, FitMethod.TWO_POINT)
     with pytest.raises(NumericalError):
         solve_equilibrium(lambda price: 0.0 if price > 500.5 else 1000.0, supply, (1.0, 2000.0))
 
@@ -223,7 +221,7 @@ def test_jump_discontinuity_is_an_honest_failure():
     c=st.floats(0.0, 10.0),
 )
 def test_solver_agrees_with_the_closed_form_on_hyperbolic_demand(a, b, s, c):
-    supply = SupplyLine(s, c, FitMethod.TWO_POINT, ((c + s, 1.0), (c + 2 * s, 2.0)))
+    supply = SupplyLine(s, c, FitMethod.TWO_POINT)
     q_lo = 1e-3
     q_hi = a + b / supply.price_at(q_lo) + 1.0
     point = solve_equilibrium(hyperbolic_demand(a, b), supply, (q_lo, q_hi))

@@ -49,10 +49,6 @@ def test_context_validation():
         ResponseContext(0.5, 1000.0, 0.19, 0.0, 200.0)
 
 
-def test_discretionary_budget():
-    assert ctx_for().discretionary_budget == 1000.0 - 0.19 * 200.0
-
-
 def test_response_frozen_value():
     point = price_response(ctx_for(), 0.175)
     assert point.qty == 2848.571428571429  # 100 + 481/0.175

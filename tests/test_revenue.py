@@ -17,17 +17,14 @@ from slabpricing import (
     SlabPlan,
     best_by_slab_count,
     bundled_scenario_path,
-    compare_domains,
     discount_ladder_plans,
     expected_revenue,
-    make_domain,
-    optimize_slab_structure,
     parse_scenario,
     plan_for_consumer,
     pooled_consumer,
-    purchase_probability,
 )
 from slabpricing.demand import own_and_cross
+from slabpricing.revenue import best_of
 
 CTX = ResponseContext(
     motive=0.5, budget=1000.0, cross_price=0.19, own_min_qty=200.0, cross_min_qty=200.0
@@ -57,35 +54,31 @@ def fixed_ladder(prices, lambdas, demands, span=2):
 # purchase probability
 
 
+def purchase_probabilities(lams):
+    """Probability that a walk over every slab buys at each one, read from
+    the revenue report lines as reach_prob * acceptance_prob."""
+    report = expected_revenue(ladder((10.0,) * len(lams), lams, span=len(lams)))
+    return [line.reach_prob * line.acceptance_prob for line in report.per_slab]
+
+
 def test_purchase_probability_dyadic_walk():
-    lams = (0.5, 0.5, 0.5)
-    assert purchase_probability(lams, 1) == 0.5
-    assert purchase_probability(lams, 2) == 0.25
-    assert purchase_probability(lams, 3) == 0.125
+    assert purchase_probabilities((0.5, 0.5, 0.5)) == [0.5, 0.25, 0.125]
 
 
 def test_purchase_probability_general_walk():
     # 0.5 * 0.2 * 0.6; not exactly 0.06 in binary floats
-    assert purchase_probability((0.5, 0.8, 0.6), 3) == pytest.approx(0.06, rel=1e-12)
+    assert purchase_probabilities((0.5, 0.8, 0.6))[2] == pytest.approx(0.06, rel=1e-12)
 
 
 def test_certain_acceptance_blocks_later_slabs():
-    assert purchase_probability((1.0, 0.5), 1) == 1.0
-    assert purchase_probability((1.0, 0.5), 2) == 0.0
-
-
-def test_purchase_probability_index_range():
-    with pytest.raises(InvalidParameterError):
-        purchase_probability((0.5,), 0)
-    with pytest.raises(InvalidParameterError):
-        purchase_probability((0.5,), 2)
+    assert purchase_probabilities((1.0, 0.5)) == [1.0, 0.0]
 
 
 @given(
     lams=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).map(tuple),
 )
 def test_buy_probabilities_complement_the_all_reject_path(lams):
-    total = sum(purchase_probability(lams, k) for k in range(1, len(lams) + 1))
+    total = sum(purchase_probabilities(lams))
     reject_all = math.prod(1.0 - lam for lam in lams)
     assert total == pytest.approx(1.0 - reject_all, abs=1e-12)
 
@@ -104,7 +97,6 @@ def test_expected_revenue_fixed_demand_breakdown():
     assert report.per_slab[1].contribution == 76.0
     assert report.per_slab[2].contribution == 0.0
     assert report.per_slab[0].index == 1
-    assert report.diagnostic == ""
 
 
 def test_rung_past_the_span_contributes_nothing_even_at_infinite_demand():
@@ -135,11 +127,11 @@ def test_default_demand_fn_is_the_context_response():
 
 
 def test_dead_plan_reports_a_diagnostic():
+    # the report's lines show why the total is 0: no slab has demand
     plan = fixed_ladder((10.0, 9.0), (0.5, 0.5), (0.0, -5.0))
     report = expected_revenue(plan)
     assert report.total == 0.0
-    assert report.diagnostic == "zero or infeasible demand at every slab"
-    assert report.per_slab[1].demand == 0.0  # clamped
+    assert [line.demand for line in report.per_slab] == [0.0, 0.0]  # slab 2 clamped
 
 
 def test_revenue_monotone_in_attention_span():
@@ -192,7 +184,7 @@ def test_optimizer_picks_the_exhaustive_maximum():
         fixed_ladder((10.0, 9.5), (0.5, 0.5), demands),
         fixed_ladder((12.0, 11.4), (0.5, 0.5), demands),
     ]
-    best_plan, best_report = optimize_slab_structure(plans)
+    best_plan, best_report = best_of(best_by_slab_count(plans).values())
     totals = [expected_revenue(p).total for p in plans]
     assert best_report.total == max(totals)
     assert best_plan is plans[totals.index(max(totals))]
@@ -206,7 +198,7 @@ def test_optimizer_tie_breaks_by_count_then_first_price():
         fixed_ladder((12.0,), (0.0,), demands),
         fixed_ladder((8.0,), (0.0,), demands),
     ]
-    best_plan, best_report = optimize_slab_structure(dead)
+    best_plan, best_report = best_of(best_by_slab_count(dead).values())
     assert best_report.total == 0.0
     assert best_plan.n_slabs == 1
     assert best_plan.slabs[0].price == 8.0
@@ -214,10 +206,10 @@ def test_optimizer_tie_breaks_by_count_then_first_price():
 
 def test_optimizer_single_candidate_and_empty_input():
     only = fixed_ladder((10.0,), (0.5,), (50.0,))
-    plan, report = optimize_slab_structure([only])
+    plan, report = best_of(best_by_slab_count([only]).values())
     assert plan is only
     with pytest.raises(InvalidParameterError):
-        optimize_slab_structure([])
+        best_of([])
     with pytest.raises(InvalidParameterError):
         best_by_slab_count([])
 
@@ -261,7 +253,7 @@ def test_slab_count_study_on_the_documented_family():
     assert totals[2] >= totals[3] >= totals[4]
     for count, (plan, report) in winners.items():
         assert plan.slabs[0].price == 12.0
-    overall_plan, overall_report = optimize_slab_structure(plans)
+    overall_plan, overall_report = best_of(winners.values())
     assert overall_plan.n_slabs == 2  # ties resolve toward fewer slabs
 
 
@@ -351,7 +343,7 @@ def test_pooling_commutes_with_orientation(market, commodity):
 
 
 # ---------------------------------------------------------------------------
-# bundled plans and domain comparison
+# bundled plans
 
 
 @pytest.mark.parametrize(
@@ -371,36 +363,3 @@ def test_bundled_plan_totals(name, total):
     own, other = own_and_cross(request.commodity, scenario.offer1, scenario.offer2)
     plan = plan_for_consumer(consumer, own, other, request.commodity)
     assert expected_revenue(plan).total == pytest.approx(total, rel=1e-12)
-
-
-def convex_plan(domain):
-    return plan_for_consumer(make_consumer(), domain.offer1, domain.offer2, commodity=1)
-
-
-def test_compare_domains_ranks_by_total(linear_offer1, linear_offer2, rung_offer2):
-    domains = [
-        make_domain(linear_offer1, linear_offer2),
-        make_domain(linear_offer1, rung_offer2),
-    ]
-    comparison = compare_domains(domains, [expected_revenue(convex_plan(d)) for d in domains])
-    totals = [entry.report.total for entry in comparison.ranked]
-    assert totals == sorted(totals, reverse=True)
-    assert {entry.label for entry in comparison.ranked} == {"convex", "mixed"}
-
-
-def test_compare_domains_keeps_input_order_on_ties(linear_offer1, linear_offer2):
-    dom = make_domain(linear_offer1, linear_offer2)
-    reports = [expected_revenue(convex_plan(dom))] * 2
-    comparison = compare_domains([dom, dom], reports, labels=["first", "second"])
-    assert [e.label for e in comparison.ranked] == ["first", "second"]
-
-
-def test_compare_domains_validation(linear_offer1, linear_offer2):
-    dom = make_domain(linear_offer1, linear_offer2)
-    report = expected_revenue(convex_plan(dom))
-    with pytest.raises(InvalidParameterError):
-        compare_domains([dom], [report])
-    with pytest.raises(InvalidParameterError):
-        compare_domains([dom, dom], reports=[expected_revenue(ladder((10.0,), (0.5,)))])
-    with pytest.raises(InvalidParameterError):
-        compare_domains([dom, dom], [report] * 2, labels=["only-one"])

@@ -12,8 +12,8 @@ from slabpricing import (
     DomainKind,
     FitMethod,
     SchemaError,
-    affordable,
     bundled_scenario_path,
+    classify_domain,
     parse_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -42,10 +42,8 @@ def test_bundled_listing():
 
 
 def test_bundled_domain_kinds():
-    kinds = {
-        name: parse_scenario(bundled_scenario_path(name)).domain.kind
-        for name in BUNDLED_SCENARIOS
-    }
+    scenarios = {name: parse_scenario(bundled_scenario_path(name)) for name in BUNDLED_SCENARIOS}
+    kinds = {name: classify_domain(s.offer1, s.offer2) for name, s in scenarios.items()}
     assert kinds == {
         "paper_convex": DomainKind.CONVEX,
         "paper_mixed": DomainKind.MIXED,
@@ -65,7 +63,9 @@ def test_motive_ladder_scenario_contents():
         0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
     ]
     assert all(c.budget == 1000.0 for c in scenario.consumers)
-    assert all(affordable(c, scenario.offer1, scenario.offer2) for c in scenario.consumers)
+    # the minimum orders fit the budget at the first-slab prices
+    p1, p2 = scenario.offer1.slabs[0].unit_price, scenario.offer2.slabs[0].unit_price
+    assert all(p1 * c.min_qty1 + p2 * c.min_qty2 <= c.budget for c in scenario.consumers)
     assert scenario.consumers[4].motives1 == (0.5,)
 
     assert scenario.curves.price_start == 1.0
