@@ -8,23 +8,32 @@ prices. A pair of offers spans one of three decision domains:
     mixed       exactly one offer has multiple slabs
     non_convex  both offers have multiple slabs
 
-Each domain has its own demand rule. Demand interpolates between the
-consumer's minimum requirement (motive 0) and the budget-exhausting quantity
-(motive 1), with the motive acting as the interpolation weight. Aggregation
-over a market sums budgets and minimums and takes the strongest motive.
+One demand rule, ``demand_convex_pair``'s, serves all three: it interpolates
+between the minimum requirement (motive 0) and the budget-exhausting quantity
+(motive 1) at one price per commodity, and each domain picks those prices.
+Aggregation over a market sums budgets and minimums and takes the strongest
+motive.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
-from .errors import InfeasibleError, InvalidParameterError
+from .errors import InfeasibleError, InvalidParameterError, NumericalError
 
 T = TypeVar("T")
+
+
+def _require_finite(owner: object, *fields: str) -> None:
+    for field in fields:
+        value = getattr(owner, field)
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{field} must be finite: {value}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,7 @@ class Slab:
     min_qty: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "unit_price", "min_qty")
         if not self.unit_price > 0:
             raise InvalidParameterError(f"unit_price must be positive: {self.unit_price}")
         if not self.min_qty > 0:
@@ -116,6 +126,7 @@ class Consumer:
     def __post_init__(self) -> None:
         # budget 0 is allowed so a neutral consumer (no money, no minimums)
         # can be expressed; scenario files reject it at load time.
+        _require_finite(self, "budget", "min_qty1", "min_qty2", "max_qty1", "max_qty2")
         if self.budget < 0:
             raise InvalidParameterError(f"budget must be non-negative: {self.budget}")
         object.__setattr__(self, "motives1", tuple(self.motives1))
@@ -216,7 +227,9 @@ class PairDemand:
 
 
 def _pair(raw_x1: float, raw_x2: float, chosen_slab: int | None = None) -> PairDemand:
-    """Clamp negative raw quantities to 0 and flag them as infeasible."""
+    """Clamp negative raw quantities to 0 and flag them; NaN raises NumericalError."""
+    if raw_x1 != raw_x1 or raw_x2 != raw_x2:
+        raise NumericalError(f"demand is not a number: raw x1 {raw_x1}, raw x2 {raw_x2}")
     return PairDemand(
         x1=max(0.0, raw_x1),
         x2=max(0.0, raw_x2),
@@ -232,33 +245,30 @@ def _require_positive_price(value: float, label: str) -> None:
         raise InvalidParameterError(f"{label} must be positive: {value}")
 
 
-def demand_convex_pair(consumer: Consumer, p1: float, p2: float) -> PairDemand:
-    """Demand under linear prices for both commodities.
+def _convex_qty(view: Consumer, p_own: float, p_cross: float) -> float:
+    """The demand rule for the commodity in ``view``'s commodity-1 slot."""
+    mu = view.motive1(0)
+    return (
+        (1.0 - mu) * view.min_qty1
+        + mu * (view.budget / p_own)
+        - mu * (p_cross / p_own) * view.min_qty2
+    )
 
-    Each quantity is the motive-weighted blend of the minimum requirement and
-    the budget-exhausting bundle:
+
+def demand_convex_pair(consumer: Consumer, p1: float, p2: float) -> PairDemand:
+    """Demand under linear prices for both commodities: the one demand rule.
+
+    Each quantity blends the minimum requirement and the budget-exhausting
+    bundle, weighted by the base (first-slab) motive in every domain:
 
         x1 = (1 - mu) * x1min + mu * m / p1 - mu * (p2 / p1) * x2min
 
-    and symmetrically for x2. Negative raw values are clamped to 0 with the
-    infeasible flag raised.
+    and x2 is the same on ``consumer.oriented(2)`` at (p2, p1). Negative raw
+    values are clamped to 0 with the infeasible flag raised.
     """
     _require_positive_price(p1, "p1")
     _require_positive_price(p2, "p2")
-    mu = consumer.motive1(0)
-    phi = consumer.motive2(0)
-    m = consumer.budget
-    raw_x1 = (
-        (1.0 - mu) * consumer.min_qty1
-        + mu * (m / p1)
-        - mu * (p2 / p1) * consumer.min_qty2
-    )
-    raw_x2 = (
-        (1.0 - phi) * consumer.min_qty2
-        + phi * (m / p2)
-        - phi * (p1 / p2) * consumer.min_qty1
-    )
-    return _pair(raw_x1, raw_x2)
+    return _pair(_convex_qty(consumer, p1, p2), _convex_qty(consumer.oriented(2), p2, p1))
 
 
 def _select_slab(consumer: Consumer, linear_price: float, slabbed: Offer) -> int:
@@ -283,15 +293,10 @@ def _select_slab(consumer: Consumer, linear_price: float, slabbed: Offer) -> int
 def demand_mixed_pair(consumer: Consumer, offer1: Offer, offer2: Offer) -> PairDemand:
     """Demand when offer1 is linear-price and offer2 is slab-priced.
 
-    The consumer buys commodity 2 at the cheapest affordable rung
-    ``chosen_slab`` (ties to the smaller min_qty) and then splits the budget
-    like the convex case at that rung's price:
-
-        x1 = (mu / p1) * [(m - p2k * x2min) - p1 * x1min] + x1min
-        x2 = (phi / p2k) * [(m - p1 * x1min) - p2k * x2min] + x2min
-
-    For swapped structure (offer1 slab-priced, offer2 linear) swap the
-    arguments and read x1/x2 crosswise.
+    The demand is ``demand_convex_pair`` at offer1's price and the price of
+    offer2's cheapest affordable rung ``chosen_slab`` (ties to the smaller
+    min_qty). For swapped structure (offer1 slab-priced, offer2 linear) swap
+    the arguments and read x1/x2 crosswise.
     """
     if classify_domain(offer1, offer2) is not DomainKind.MIXED or not offer1.is_linear_price:
         raise InvalidParameterError(
@@ -299,15 +304,8 @@ def demand_mixed_pair(consumer: Consumer, offer1: Offer, offer2: Offer) -> PairD
         )
     p1 = offer1.slabs[0].unit_price
     k = _select_slab(consumer, p1, offer2)
-    p2k = offer2.slabs[k].unit_price
-    # the rung choice swaps prices only; per-slab motive vectors matter to
-    # revenue evaluation, demand always reads the base motive
-    mu = consumer.motive1(0)
-    phi = consumer.motive2(0)
-    m = consumer.budget
-    raw_x1 = (mu / p1) * ((m - p2k * consumer.min_qty2) - p1 * consumer.min_qty1) + consumer.min_qty1
-    raw_x2 = (phi / p2k) * ((m - p1 * consumer.min_qty1) - p2k * consumer.min_qty2) + consumer.min_qty2
-    return _pair(raw_x1, raw_x2, k)
+    pair = demand_convex_pair(consumer, p1, offer2.slabs[k].unit_price)
+    return dataclasses.replace(pair, chosen_slab=k)
 
 
 @dataclass(frozen=True)
@@ -339,8 +337,8 @@ def demand_nonconvex_pair(consumer: Consumer, offer1: Offer, offer2: Offer) -> T
     Writing p1_1/p1_2 for offer1's first and second rung prices (and p2_1/
     p2_2 for offer2):
 
-        stage 1: x1 = mu * (m - p2_2 * x2min) / p1_2 - mu * x1min + x1min
-                 x2 = phi * (m - p1_1 * x1min) / p2_1 - phi * x2min + x2min
+        stage 1: x1 = raw_x1 of demand_convex_pair at (p1_2, p2_2)
+                 x2 = raw_x2 of demand_convex_pair at (p1_1, p2_1)
         stage 2: x1* = (m - p2_1 * x2) / p1_1
                  x2* = (m - p1_2 * x1) / p2_2
 
@@ -351,16 +349,13 @@ def demand_nonconvex_pair(consumer: Consumer, offer1: Offer, offer2: Offer) -> T
         raise InvalidParameterError("non-convex demand needs two rungs on both offers")
     p1_1, p1_2 = offer1.slabs[0].unit_price, offer1.slabs[1].unit_price
     p2_1, p2_2 = offer2.slabs[0].unit_price, offer2.slabs[1].unit_price
-    mu = consumer.motive1(0)
-    phi = consumer.motive2(0)
-    m = consumer.budget
-    x1 = mu * (m - p2_2 * consumer.min_qty2) / p1_2 - mu * consumer.min_qty1 + consumer.min_qty1
-    x2 = phi * (m - p1_1 * consumer.min_qty1) / p2_1 - phi * consumer.min_qty2 + consumer.min_qty2
+    x1 = demand_convex_pair(consumer, p1_2, p2_2).raw_x1
+    x2 = demand_convex_pair(consumer, p1_1, p2_1).raw_x2
     return TwoStageDemand(
         x1_initial=x1,
         x2_initial=x2,
-        x1_refined=budget_exhausting_qty(m, p2_1, x2, p1_1),
-        x2_refined=budget_exhausting_qty(m, p1_2, x1, p2_2),
+        x1_refined=budget_exhausting_qty(consumer.budget, p2_1, x2, p1_1),
+        x2_refined=budget_exhausting_qty(consumer.budget, p1_2, x1, p2_2),
     )
 
 
@@ -399,10 +394,8 @@ def _top_two(values: Sequence[float]) -> tuple[int, float, float]:
     return k, top, (max(rest) if rest else top)
 
 
-def _aggregate_mixed(
-    market: Sequence[Consumer], pooled: Consumer, offer1: Offer, offer2: Offer
-) -> tuple[float, float, int]:
-    """Market demand when offer1 is linear-price and offer2 is slab-priced;
+def _aggregate_mixed(market: Sequence[Consumer], pooled: Consumer, p1: float, p2: float) -> float:
+    """Market demand for commodity 1 at prices (p1, p2) in a mixed domain;
     ``pooled`` is the market's pooled_consumer.
 
     The strongest motive holder dominates the market the way the strongest
@@ -410,74 +403,47 @@ def _aggregate_mixed(
     motive while everyone else's rides on the runner-up motive:
 
         X1 = mu2nd * (sum m) / p1
-             - mu_top * (p2k / p1) * x2min[k]
-             - mu2nd * (p2k / p1) * sum of the others' x2min
+             - mu_top * (p2 / p1) * x2min[k]
+             - mu2nd * (p2 / p1) * sum of the others' x2min
              + (1 - mu_top) * sum x1min
 
-    and symmetrically for X2 with the roles of the commodities swapped. For
-    a single consumer both order statistics coincide and this is exactly the
-    individual mixed-case formula.
+    For a single consumer both order statistics coincide and this is the
+    demand rule of ``demand_convex_pair``, up to rounding.
     """
-    p1 = offer1.slabs[0].unit_price
-    slab = _select_slab(pooled, p1, offer2)
-    p2k = offer2.slabs[slab].unit_price
-    total_m, total_min1, total_min2 = pooled.budget, pooled.min_qty1, pooled.min_qty2
-
-    k1, mu_top, mu_2nd = _top_two([c.motive1(0) for c in market])
-    others_min2 = total_min2 - market[k1].min_qty2
-    x1 = (
-        mu_2nd * total_m / p1
-        - mu_top * (p2k / p1) * market[k1].min_qty2
-        - mu_2nd * (p2k / p1) * others_min2
-        + (1.0 - mu_top) * total_min1
+    k, mu_top, mu_2nd = _top_two([c.motive1(0) for c in market])
+    others_min2 = pooled.min_qty2 - market[k].min_qty2
+    return (
+        mu_2nd * pooled.budget / p1
+        - mu_top * (p2 / p1) * market[k].min_qty2
+        - mu_2nd * (p2 / p1) * others_min2
+        + (1.0 - mu_top) * pooled.min_qty1
     )
 
-    k2, phi_top, phi_2nd = _top_two([c.motive2(0) for c in market])
-    others_min1 = total_min1 - market[k2].min_qty1
-    x2 = (
-        phi_2nd * total_m / p2k
-        - phi_top * (p1 / p2k) * market[k2].min_qty1
-        - phi_2nd * (p1 / p2k) * others_min1
-        + (1.0 - phi_top) * total_min2
-    )
-    return x1, x2, slab
 
+def aggregate_demand(market: Sequence[Consumer], offer1: Offer, offer2: Offer) -> PairDemand:
+    """Demand of a whole market at the posted prices of the two offers.
 
-def aggregate_demand(
-    market: Sequence[Consumer],
-    offer1: Offer,
-    offer2: Offer,
-    prices: tuple[float, float] | None = None,
-) -> PairDemand:
-    """Demand of a whole market in the domain the two offers span.
-
-    Budgets and minimum quantities add across consumers; motives aggregate
-    by max. ``prices`` overrides the posted unit prices for the convex case
-    only (price sweeps); slab structures always price themselves.
+    A convex domain is ``demand_convex_pair`` of the pooled consumer, a
+    non-convex one stage 1 of its ``demand_nonconvex_pair``. A mixed one
+    prices the slabbed commodity at the pooled consumer's chosen rung and
+    takes ``_aggregate_mixed`` of each commodity, oriented into slot 1.
     """
     market = list(market)
     pooled = pooled_consumer(market)
     kind = classify_domain(offer1, offer2)
-    if prices is not None and kind is not DomainKind.CONVEX:
-        raise InvalidParameterError("price override applies only to convex domains")
-
-    chosen: int | None = None
     if kind is DomainKind.CONVEX:
-        p1, p2 = prices if prices is not None else (
-            offer1.slabs[0].unit_price,
-            offer2.slabs[0].unit_price,
-        )
-        pair = demand_convex_pair(pooled, p1, p2)
-        raw_x1, raw_x2 = pair.raw_x1, pair.raw_x2
-    elif kind is DomainKind.MIXED:
-        # orient the market so the linear-price commodity sits in slot 1
-        linear = 1 if offer1.is_linear_price else 2
-        offers = own_and_cross(linear, offer1, offer2)
-        views = [c.oriented(linear) for c in market]
-        x_linear, x_slabbed, chosen = _aggregate_mixed(views, pooled.oriented(linear), *offers)
-        raw_x1, raw_x2 = own_and_cross(linear, x_linear, x_slabbed)
-    else:
+        return demand_convex_pair(pooled, offer1.slabs[0].unit_price, offer2.slabs[0].unit_price)
+    if kind is DomainKind.NON_CONVEX:
         staged = demand_nonconvex_pair(pooled, offer1, offer2)
-        raw_x1, raw_x2 = staged.x1_initial, staged.x2_initial
-
-    return _pair(raw_x1, raw_x2, chosen)
+        return _pair(staged.x1_initial, staged.x2_initial)
+    # orient the market so the linear-price commodity sits in slot 1
+    linear = 1 if offer1.is_linear_price else 2
+    linear_offer, slabbed = own_and_cross(linear, offer1, offer2)
+    views = [c.oriented(linear) for c in market]
+    pooled = pooled.oriented(linear)
+    p1 = linear_offer.slabs[0].unit_price
+    chosen = _select_slab(pooled, p1, slabbed)
+    p2 = slabbed.slabs[chosen].unit_price
+    x_linear = _aggregate_mixed(views, pooled, p1, p2)
+    x_slabbed = _aggregate_mixed([c.oriented(2) for c in views], pooled.oriented(2), p2, p1)
+    return _pair(*own_and_cross(linear, x_linear, x_slabbed), chosen)

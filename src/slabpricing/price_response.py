@@ -69,7 +69,9 @@ def price_response(ctx: ResponseContext, p: float) -> ResponsePoint:
         x(p) = (1 - motive) * own_min + motive * m / p
                - motive * (cross_price / p) * cross_min
 
-    Negative raw values clamp to 0 with the infeasible flag set.
+    Negative raw values clamp to 0 with the infeasible flag set. A price so
+    small that m / p overflows leaves raw not a number (inf - inf), which
+    raises NumericalError.
     """
     _check_price(p)
     raw = (
@@ -77,7 +79,11 @@ def price_response(ctx: ResponseContext, p: float) -> ResponsePoint:
         + ctx.motive * (ctx.budget / p)
         - ctx.motive * (ctx.cross_price / p) * ctx.cross_min_qty
     )
-    return ResponsePoint(qty=max(0.0, raw), infeasible=raw < 0, raw=raw)
+    if raw >= 0.0:
+        return ResponsePoint(qty=raw, infeasible=False, raw=raw)
+    if raw != raw:
+        raise NumericalError(f"demand at price {p!r} is not a number: m / p overflows")
+    return ResponsePoint(qty=0.0, infeasible=True, raw=raw)
 
 
 def response_slope(ctx: ResponseContext, p: float) -> float:

@@ -108,7 +108,8 @@ def expected_revenue(plan: SlabPlan) -> RevenueReport:
     A slab's demand is the price response of its own context at its price.
     Every slab gets a report line; rungs beyond the attention span carry
     reach probability 0 and contribute exactly 0, even where their demand is
-    not finite, since no walk reaches them. A line's reach_prob times its
+    infinite, since no walk reaches them. A rung whose demand is not a number
+    raises NumericalError, reached or not. A line's reach_prob times its
     acceptance_prob is the probability that the walk buys at that slab.
     """
     lines = []

@@ -156,6 +156,21 @@ def test_tiny_response_price_exits_5(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_not_a_number_demand_exits_5(tmp_path, capsys):
+    # below about 1e-305 the budget over the price overflows, the response is
+    # inf - inf, and a NaN must not be written as a 0 cell
+    def tiny_start(doc):
+        doc["analysis"]["curves"]["price_start"] = 1e-320
+
+    path = mutated_scenario(tmp_path, "paper_convex", tiny_start)
+    out = tmp_path / "out"
+    assert run(["--scenario", path, "--out", str(out), "demand"]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[numerical]: demand at price 1e-320 is not a number")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_overflowing_supply_fit_exits_5(tmp_path, capsys):
     # the least-squares deviation of a 1e200 quantity cannot be squared;
     # supply_fit.csv fits with both methods whatever the request's method

@@ -4,8 +4,11 @@ Frozen values were computed by hand from the written-out formulas before
 they were asserted here; comments carry the arithmetic.
 """
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slabpricing import (
@@ -13,6 +16,7 @@ from slabpricing import (
     DomainKind,
     InfeasibleError,
     InvalidParameterError,
+    NumericalError,
     Offer,
     Slab,
     aggregate_demand,
@@ -38,6 +42,17 @@ def test_offer_requires_strictly_increasing_rungs():
         Slab(0.0, 100.0)
     with pytest.raises(InvalidParameterError):
         Slab(0.2, 0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_numbers_are_refused(value):
+    for field in ("budget", "min_qty1", "min_qty2", "max_qty1", "max_qty2"):
+        with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+            dataclasses.replace(make_consumer(), **{field: value})
+    with pytest.raises(InvalidParameterError, match="unit_price must be finite"):
+        Slab(value, 100.0)
+    with pytest.raises(InvalidParameterError, match="min_qty must be finite"):
+        Slab(0.2, value)
 
 
 def test_domain_classification(linear_offer1, linear_offer2, rung_offer2, stepped_offer1):
@@ -106,6 +121,12 @@ def test_convex_pair_clamps_negative_raw_and_flags():
     assert pair.raw_x1 == -71.0
     assert pair.x1 == 0.0
     assert pair.infeasible
+
+
+def test_convex_pair_refuses_a_price_that_overflows_the_budget():
+    # 1000 / 1e-320 overflows, so x1 is inf - inf: not a number, not a 0
+    with pytest.raises(NumericalError, match="demand is not a number"):
+        demand_convex_pair(make_consumer(), 1e-320, 0.19)
 
 
 def test_convex_pair_rejects_nonpositive_prices():
@@ -256,6 +277,80 @@ def test_refinement_couples_the_commodities(stepped_offer1, stepped_offer2):
 
 
 # ---------------------------------------------------------------------------
+# the one demand rule against exact arithmetic
+
+EPS = Fraction(2) ** -52
+MOTIVES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+PRICES = st.floats(0.01, 100.0)
+
+
+def assert_within_rounding(got, mu, budget, own_min, cross_min, p_own, p_cross):
+    """got is the demand rule (1-mu)*own_min + mu*m/p_own - mu*(p_cross/p_own)
+    *cross_min up to rounding.
+
+    With u = EPS/2 the unit roundoff, the float terms carry 2, 2 and 3
+    roundings ((1-mu) then the product; m/p then mu times it; p_cross/p_own,
+    then mu, then cross_min), so each is off by at most about 3u times its
+    own size. The two additions add at most u*|t1+t2| + u*|result|, each at
+    most u*S with S = |t1|+|t2|+|t3|. In all |got - exact| <= 5u*S = 2.5
+    EPS*S to first order, so 4 EPS*S leaves room for the higher-order terms.
+    The bound scales with the terms, not the result, because the terms
+    cancel near the clamp.
+    """
+    mu, budget, own_min, cross_min, p_own, p_cross = map(
+        Fraction, (mu, budget, own_min, cross_min, p_own, p_cross)
+    )
+    terms = ((1 - mu) * own_min, mu * budget / p_own, mu * p_cross / p_own * cross_min)
+    exact = terms[0] + terms[1] - terms[2]
+    assert abs(Fraction(got) - exact) <= 4 * EPS * sum(abs(t) for t in terms)
+
+
+@given(
+    mu=MOTIVES,
+    phi=MOTIVES,
+    budget=st.floats(0.01, 1e4),
+    min1=st.floats(0.01, 1e3),
+    min2=st.floats(0.01, 1e3),
+    prices=st.tuples(PRICES, PRICES, PRICES, PRICES),
+)
+# at motive 1 the old stage-1 order, (x - min1) + min1, was off by 36 EPS*S
+@example(
+    mu=1.0,
+    phi=0.5,
+    budget=3.08431716724503,
+    min1=292.12689055545474,
+    min2=259.80796930373623,
+    prices=(18.0, 17.970843338775015, 0.07, 0.06343436056870254),
+)
+def test_every_domain_is_the_one_rule_within_rounding(mu, phi, budget, min1, min2, prices):
+    """Convex demand, mixed demand at its chosen rung and non-convex stage 1
+    at its rung pairs are all the demand rule at the prices they pick."""
+    p1_1, p1_2, p2_1, p2_2 = prices
+    c = Consumer(budget, (mu,), (phi,), min1, min2, min1 + 1.0, min2 + 1.0, 1, (0.5,))
+
+    def check(x1, x2, p1, p2):
+        assert_within_rounding(x1, mu, budget, min1, min2, p1, p2)
+        assert_within_rounding(x2, phi, budget, min2, min1, p2, p1)
+
+    pair = demand_convex_pair(c, p1_1, p2_1)
+    check(pair.raw_x1, pair.raw_x2, p1_1, p2_1)
+
+    rungs = Offer("c2", (Slab(p2_1, 1.0), Slab(p2_2, 2.0)), "g")
+    try:
+        mixed = demand_mixed_pair(c, Offer("c1", (Slab(p1_1, 1.0),), "g"), rungs)
+    except InfeasibleError:  # no rung leaves the minimums affordable
+        pass
+    else:
+        check(mixed.raw_x1, mixed.raw_x2, p1_1, rungs.slabs[mixed.chosen_slab].unit_price)
+
+    staged = demand_nonconvex_pair(
+        c, Offer("c1", (Slab(p1_1, 1.0), Slab(p1_2, 2.0)), "g"), rungs
+    )
+    assert_within_rounding(staged.x1_initial, mu, budget, min1, min2, p1_2, p2_2)
+    assert_within_rounding(staged.x2_initial, phi, budget, min2, min1, p2_1, p1_1)
+
+
+# ---------------------------------------------------------------------------
 # dominance of the constrained curve
 
 
@@ -394,14 +489,6 @@ def test_tied_top_motives_make_the_order_irrelevant(linear_offer1, rung_offer2):
     assert agg.x1 == x1_hand
     assert flipped.x1 == agg.x1
     assert flipped.x2 == agg.x2
-
-
-def test_price_override_only_for_convex(linear_offer1, linear_offer2, rung_offer2):
-    swept = aggregate_demand([make_consumer()], linear_offer1, linear_offer2, prices=(1.0, 2.0))
-    direct = demand_convex_pair(make_consumer(), 1.0, 2.0)
-    assert swept.raw_x1 == direct.raw_x1
-    with pytest.raises(InvalidParameterError):
-        aggregate_demand([make_consumer()], linear_offer1, rung_offer2, prices=(1.0, 2.0))
 
 
 def test_aggregate_rejects_empty_market(linear_offer1, linear_offer2):

@@ -76,6 +76,14 @@ def test_slope_refuses_a_price_whose_square_underflows():
         response_slope(ctx_for(), 1e-200)
 
 
+@pytest.mark.parametrize("motive", [0.0, 0.5, 1.0])
+def test_response_refuses_a_price_that_overflows_the_budget(motive):
+    # 1000 / 1e-320 and 0.19 / 1e-320 overflow to inf; the response is then
+    # inf - inf (or 0 * inf), not a number rather than an infeasible 0
+    with pytest.raises(NumericalError, match="at price 1e-320 is not a number"):
+        price_response(ctx_for(motive), 1e-320)
+
+
 def test_hazard_and_elasticity_frozen_values():
     assert hazard_rate(ctx_for(), 0.175) == 5.513683908869465
     assert point_elasticity(ctx_for(), 0.175) == 0.9648946840521563
